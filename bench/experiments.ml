@@ -229,11 +229,7 @@ let fig10 ~scale () =
   (* Reference optimum. *)
   let optimal_assignment solver =
     let _, g = Setup.time_solver s solver in
-    let saved = FN.graph net in
-    FN.set_graph net g;
-    let m = Firmament.Placement.extract_partial net in
-    FN.set_graph net saved;
-    m
+    Firmament.Placement.extract_snapshot net g
   in
   let misplacements ~full_runtime ~(solver : ?stop:S.stop -> G.t -> S.stats) =
     let reference = optimal_assignment (fun g -> solver g) in
@@ -243,10 +239,7 @@ let fig10 ~scale () =
         let _, g =
           Setup.time_solver s (fun g -> solver ~stop:(S.deadline_stop deadline) g)
         in
-        let saved = FN.graph net in
-        FN.set_graph net g;
-        let partial = Firmament.Placement.extract_partial net in
-        FN.set_graph net saved;
+        let partial = Firmament.Placement.extract_snapshot net g in
         let mis =
           List.fold_left2
             (fun acc (a : Firmament.Placement.assignment) (b : Firmament.Placement.assignment) ->

@@ -6,7 +6,7 @@ type event =
   | Restore_machine of int
   | Perturb_costs of { seed : int; arcs : int }
   | Round of { polls : int }
-  | Begin_round
+  | Begin_round of { polls : int }
   | Commit_round
 
 let pp ppf = function
@@ -22,7 +22,9 @@ let pp ppf = function
   | Round { polls } ->
       if polls <= 0 then Format.fprintf ppf "round"
       else Format.fprintf ppf "round (stop after %d polls)" polls
-  | Begin_round -> Format.fprintf ppf "begin-round"
+  | Begin_round { polls } ->
+      if polls <= 0 then Format.fprintf ppf "begin-round"
+      else Format.fprintf ppf "begin-round (stop after %d polls)" polls
   | Commit_round -> Format.fprintf ppf "commit-round"
 
 let generate ~seed ~machines ~length =
@@ -40,19 +42,17 @@ let generate ~seed ~machines ~length =
         locality = Random.State.int rng 10_000;
       }
   in
+  (* Mostly full solves; occasionally a deterministic poll-budget stop
+     standing in for a deadline-cut partial round. *)
+  let polls () =
+    if Random.State.int rng 6 = 0 then 1 + Random.State.int rng 30 else 0
+  in
   let events = ref [] in
   for _ = 1 to max 0 (length - 1) do
     let r = Random.State.int rng 100 in
     let ev =
       if r < 24 then submit ()
-      else if r < 48 then
-        (* Mostly full rounds; occasionally a deterministic poll-budget
-           stop standing in for a deadline-cut partial round. *)
-        Round
-          {
-            polls =
-              (if Random.State.int rng 6 = 0 then 1 + Random.State.int rng 30 else 0);
-          }
+      else if r < 48 then Round { polls = polls () }
       else if r < 60 then Finish (Random.State.int rng 1_000)
       else if r < 66 then Preempt (Random.State.int rng 1_000)
       else if r < 73 then Fail_machine (Random.State.int rng machines)
@@ -60,7 +60,7 @@ let generate ~seed ~machines ~length =
       else if r < 89 then
         Perturb_costs
           { seed = Random.State.int rng 10_000; arcs = 1 + Random.State.int rng 8 }
-      else if r < 95 then Begin_round
+      else if r < 95 then Begin_round { polls = polls () }
       else Commit_round
     in
     events := ev :: !events
@@ -79,7 +79,7 @@ let to_line = function
   | Restore_machine m -> Printf.sprintf "restore %d" m
   | Perturb_costs { seed; arcs } -> Printf.sprintf "perturb %d %d" seed arcs
   | Round { polls } -> Printf.sprintf "round %d" polls
-  | Begin_round -> "begin"
+  | Begin_round { polls } -> Printf.sprintf "begin %d" polls
   | Commit_round -> "commit"
 
 let fail fmt = Format.kasprintf failwith fmt
@@ -105,7 +105,8 @@ let of_line line =
   | [ "restore"; m ] -> Restore_machine (int m)
   | [ "perturb"; seed; arcs ] -> Perturb_costs { seed = int seed; arcs = int arcs }
   | [ "round"; polls ] -> Round { polls = int polls }
-  | [ "begin" ] -> Begin_round
+  | [ "begin" ] -> Begin_round { polls = 0 }
+  | [ "begin"; polls ] -> Begin_round { polls = int polls }
   | [ "commit" ] -> Commit_round
   | _ -> fail "Churn.of_line: unrecognized event %S" line
 

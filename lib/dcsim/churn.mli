@@ -32,7 +32,10 @@ type event =
       (** run a synchronous scheduling round. [polls <= 0] solves to
           completion; [polls > 0] stops the solve after that many stop
           polls — a deterministic stand-in for a wall-clock deadline *)
-  | Begin_round  (** dispatch a pipelined round (commits any prior one) *)
+  | Begin_round of { polls : int }
+      (** dispatch a pipelined round (commits any prior one); [polls] as
+          for [Round]. Text form [begin N]; a bare [begin] reads as
+          [polls = 0] *)
   | Commit_round  (** commit the in-flight round (no-op if none) *)
 
 val pp : Format.formatter -> event -> unit

@@ -4,7 +4,7 @@ let on_wire = function
   | Churn.Submit _ | Churn.Finish _ | Churn.Preempt _ | Churn.Fail_machine _
   | Churn.Restore_machine _ ->
       true
-  | Churn.Perturb_costs _ | Churn.Round _ | Churn.Begin_round
+  | Churn.Perturb_costs _ | Churn.Round _ | Churn.Begin_round _
   | Churn.Commit_round ->
       false
 

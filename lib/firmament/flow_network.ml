@@ -27,12 +27,6 @@ type t = {
   racks : (Cluster.Types.rack_id, G.node) Hashtbl.t;
   unscheduled : (Cluster.Types.job_id, G.node) Hashtbl.t;
   request_aggs : (int, G.node) Hashtbl.t;
-  (* Cached machine->sink arc handles, maintained by
-     [ensure_machine]/[remove_machine]. Arc ids survive graph copies and
-     [set_graph] swaps between structure-preserving copies, so readers
-     (placement extraction, validation) can use them on any adopted
-     solution graph without re-scanning out-lists. *)
-  sink_arcs : (Cluster.Types.machine_id, G.arc) Hashtbl.t;
   mutable cluster_agg : G.node option;
   mutable n_tasks : int;
 }
@@ -51,7 +45,6 @@ let create ?node_hint ?arc_hint () =
     racks = Hashtbl.create 16;
     unscheduled = Hashtbl.create 16;
     request_aggs = Hashtbl.create 16;
-    sink_arcs = Hashtbl.create 64;
     cluster_agg = None;
     n_tasks = 0;
   }
@@ -60,10 +53,20 @@ let graph t = t.g
 let set_graph t g = t.g <- g
 let sink t = t.sink
 
+let find_arc t src dst =
+  let found = ref None in
+  let it = ref (G.first_out t.g src) in
+  while !found = None && !it >= 0 do
+    let a = !it in
+    if G.is_forward a && G.dst t.g a = dst then found := Some a;
+    it := G.next_out t.g a
+  done;
+  !found
+
 (* Rebuild the network around a graph parsed from a snapshot. The
    side-band [kinds] assoc (node handle -> role) is the only information
-   a DIMACS dump cannot carry; everything else — the sink-arc cache, the
-   task count — is rederived from the graph itself and cross-checked. *)
+   a DIMACS dump cannot carry; everything else — each machine's sink arc,
+   the task count — is rederived from the graph itself and cross-checked. *)
 let restore ~graph:g ~kinds:kind_list =
   let fail fmt = Format.kasprintf invalid_arg ("Flow_network.restore: " ^^ fmt) in
   let sink =
@@ -82,7 +85,6 @@ let restore ~graph:g ~kinds:kind_list =
       racks = Hashtbl.create 16;
       unscheduled = Hashtbl.create 16;
       request_aggs = Hashtbl.create 16;
-      sink_arcs = Hashtbl.create 64;
       cluster_agg = None;
       n_tasks = 0;
     }
@@ -113,16 +115,7 @@ let restore ~graph:g ~kinds:kind_list =
   G.iter_nodes g (fun n ->
       if not (Hashtbl.mem t.kinds n) then fail "live node %d has no kind record" n);
   Hashtbl.iter
-    (fun m n ->
-      let arc = ref (-1) in
-      let it = ref (G.first_out g n) in
-      while !arc < 0 && !it >= 0 do
-        let a = !it in
-        if G.is_forward a && G.dst g a = t.sink then arc := a;
-        it := G.next_out g a
-      done;
-      if !arc < 0 then fail "machine %d has no arc to the sink" m;
-      Hashtbl.replace t.sink_arcs m !arc)
+    (fun m n -> if find_arc t n t.sink = None then fail "machine %d has no arc to the sink" m)
     t.machines;
   if G.supply g t.sink <> -t.n_tasks then
     fail "sink supply %d does not match -%d task nodes" (G.supply g t.sink) t.n_tasks;
@@ -290,8 +283,7 @@ let ensure_machine t m ~slots =
       let n = G.add_node t.g ~supply:0 in
       Hashtbl.replace t.kinds n (Machine_node m);
       Hashtbl.replace t.machines m n;
-      let a = G.add_arc t.g ~src:n ~dst:t.sink ~cost:0 ~cap:slots in
-      Hashtbl.replace t.sink_arcs m a;
+      ignore (G.add_arc t.g ~src:n ~dst:t.sink ~cost:0 ~cap:slots);
       n
 
 let remove_machine t m =
@@ -300,10 +292,7 @@ let remove_machine t m =
   | Some n ->
       G.remove_node t.g n;
       Hashtbl.remove t.machines m;
-      Hashtbl.remove t.sink_arcs m;
       Hashtbl.remove t.kinds n
-
-let machine_sink_arc t m = Hashtbl.find_opt t.sink_arcs m
 
 let ensure_rack t r =
   match Hashtbl.find_opt t.racks r with
@@ -362,16 +351,6 @@ let remove_request_agg t b =
       Hashtbl.remove t.request_aggs b;
       Hashtbl.remove t.kinds n
 
-let find_arc t src dst =
-  let found = ref None in
-  let it = ref (G.first_out t.g src) in
-  while !found = None && !it >= 0 do
-    let a = !it in
-    if G.is_forward a && G.dst t.g a = dst then found := Some a;
-    it := G.next_out t.g a
-  done;
-  !found
-
 let set_or_add_arc t ~src ~dst ~cost ~cap =
   match find_arc t src dst with
   | Some a ->
@@ -397,22 +376,18 @@ let validate_structure t =
     (fun m n ->
       if not (G.node_is_live t.g n) then err "machine %d maps to dead node %d" m n
       else begin
-        (* The cached sink-arc handle must be a live n->sink arc... *)
-        (match Hashtbl.find_opt t.sink_arcs m with
-        | None -> err "machine %d has no cached sink arc" m
-        | Some a ->
-            if not (G.arc_is_live t.g a) then err "machine %d cached sink arc %d is dead" m a
-            else if G.src t.g a <> n || G.dst t.g a <> t.sink then
-              err "machine %d cached sink arc %d runs %d->%d, expected %d->sink" m a
-                (G.src t.g a) (G.dst t.g a) n);
-        (* ...and remain the machine's only outgoing forward arc. *)
+        (* The machine's outgoing forward arcs all lead to the sink, and
+           there is at least one. *)
+        let to_sink = ref false in
         let it = ref (G.first_out t.g n) in
         while !it >= 0 do
           let a = !it in
-          if G.is_forward a && G.dst t.g a <> t.sink then
-            err "machine %d has a non-sink outgoing arc to node %d" m (G.dst t.g a);
+          if G.is_forward a then
+            if G.dst t.g a = t.sink then to_sink := true
+            else err "machine %d has a non-sink outgoing arc to node %d" m (G.dst t.g a);
           it := G.next_out t.g a
-        done
+        done;
+        if not !to_sink then err "machine %d has no arc to the sink" m
       end)
     t.machines;
   List.rev !errs

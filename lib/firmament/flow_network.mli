@@ -34,8 +34,8 @@ val create : ?node_hint:int -> ?arc_hint:int -> unit -> t
 
 (** [restore ~graph ~kinds] rebuilds a network around a graph parsed
     from a snapshot: [kinds] assigns every live node its role (the one
-    piece of information a DIMACS dump cannot carry). The sink-arc cache
-    and task count are rederived from the graph and cross-checked.
+    piece of information a DIMACS dump cannot carry). The task count is
+    rederived from the graph, and every machine's sink arc is checked.
     @raise Invalid_argument if the kind table and graph are inconsistent
     (missing/duplicate sink, unlabelled live node, machine without a
     sink arc, sink supply not matching the task count). *)
@@ -93,14 +93,6 @@ val ensure_machine :
 
 val machine_node : t -> Cluster.Types.machine_id -> Flowgraph.Graph.node option
 val machine_of_node : t -> Flowgraph.Graph.node -> Cluster.Types.machine_id option
-
-(** [machine_sink_arc t m] is machine [m]'s cached machine→sink arc
-    handle (the one created by {!ensure_machine}), or [None] for an
-    unknown/removed machine. O(1); replaces the {!find_arc} out-list
-    scans the placement extractor used to do per round. The handle stays
-    valid across {!set_graph} because the race deals in
-    structure-preserving copies. *)
-val machine_sink_arc : t -> Cluster.Types.machine_id -> Flowgraph.Graph.arc option
 
 (** [remove_machine t m] removes the machine node and all incident arcs
     (machine failure). *)

@@ -14,8 +14,8 @@ let fail fmt = Format.kasprintf failwith fmt
    is not the layered DAG the policies build and extraction fails. *)
 let max_hops = 16
 
-(* Hop cap for the backtracking pseudoflow walks (partial/snapshot),
-   which may revisit layers while probing. Matches the historical cap. *)
+(* Hop cap for the backtracking walk ([extract_snapshot]), which may
+   revisit layers while probing. *)
 let walk_hops = 64
 
 exception Desync of string
@@ -31,9 +31,9 @@ exception Desync of string
      flow when synced) and [gen.(s)] remembering the arc-pair generation
      stamp, so the next sync can walk only arcs whose flow or identity
      changed;
-   - scratch budgets for the backtracking pseudoflow walks
-     ([extract_partial]/[extract_snapshot]), epoch-stamped so they reset
-     in O(1) and never disturb the delta state. *)
+   - scratch budgets for the backtracking walk ([extract_snapshot]),
+     epoch-stamped so they reset in O(1) and never disturb the delta
+     state. *)
 type workspace = {
   (* delta decomposition, per forward-arc slot *)
   mutable used : int array;
@@ -55,7 +55,7 @@ type workspace = {
   (* pending (tid, prev-mach) pairs during a sync *)
   mutable pend : int array;
   mutable pend_top : int;
-  (* scratch budgets for pseudoflow walks, per forward-arc slot *)
+  (* scratch budgets for the backtracking walk, per forward-arc slot *)
   mutable budget : int array;
   mutable budget_mark : int array; (* epoch marks *)
   mutable budget_epoch : int;
@@ -348,12 +348,11 @@ let extract ?workspace net =
       if G.excess g n <> 0 then
         fail "Placement.extract: infeasible flow (node %d has excess %d)" n (G.excess g n));
   let ws = match workspace with Some w -> w | None -> create_workspace () in
-  ensure_arc_capacity ws ((G.arc_bound g + 1) / 2);
   reset ws;
   sync_with_rebuild ws net ~emit:(fun _ _ -> ());
   delta_assignments ws
 
-(* --- backtracking pseudoflow walks (early-terminated solver states) --- *)
+(* --- the best-effort backtracking walk --- *)
 
 (* Arm the epoch-stamped per-arc budgets: [remaining] defaults to the
    arc's current flow the first time a slot is touched this walk. *)
@@ -375,66 +374,29 @@ let refund ws g a =
   ws.budget.(k) <- remaining ws g a + 1;
   ws.budget_mark.(k) <- ws.budget_epoch
 
-let extract_partial ?workspace net =
-  let g = FN.graph net in
+(* One walk for every flow the scheduler will not adopt: a deadline-stopped
+   solver's pseudoflow, or an optimal solve that cluster events overtook.
+   Each task's unit is walked toward the sink, consuming it from the
+   per-arc budget so two tasks never claim the same unit. The walk
+   backtracks: a branch that dead-ends (hop limit, exhausted budget,
+   unscheduled aggregator) refunds every unit it consumed and the parent
+   tries its next arc, so an aborted probe never leaks flow that tasks
+   sharing a path prefix could still claim. Reaching a machine also claims
+   a unit of its sink arc: a pseudoflow may park excess at a machine node,
+   and without this claim more tasks could land there than its slots.
+
+   Nodes are read through [net]'s tables, except those in [failed]: a
+   machine that failed after [g] was copied keeps its old meaning, even if
+   the graph has since recycled its node id (the commit's staleness check
+   then discards whatever the walk routes there). A node [net] no longer
+   knows can only be a removed task node, which carries no inbound flow,
+   so it blocks. The sink arc is found by scanning [g]'s out-list, which
+   always describes [g] itself. *)
+let extract_snapshot ?workspace ?tasks ?(failed = []) net g =
   let sink = FN.sink net in
   let ws = match workspace with Some w -> w | None -> create_workspace () in
   arm_budgets ws g;
-  (* Walk one unit of flow from [n] toward a machine, consuming it from
-     the per-arc budget so two tasks never claim the same unit. The walk
-     backtracks: a branch that dead-ends (hop limit, exhausted budget,
-     unscheduled aggregator) refunds every unit it consumed and the
-     parent tries its next arc — an aborted probe must not leak flow
-     that tasks sharing a path prefix could still claim. *)
-  let rec walk n hops =
-    if hops > walk_hops then None
-    else if n = sink then None
-    else
-      match FN.kind net n with
-      | FN.Machine_node m -> (
-          (* Claim a unit of the machine's sink arc: a mid-solve
-             pseudoflow may park excess at a machine node, and without
-             this check more tasks could land here than the machine's
-             slot capacity admits. O(1) via the cached handle. *)
-          match FN.machine_sink_arc net m with
-          | Some a when remaining ws g a > 0 ->
-              consume ws g a;
-              Some m
-          | Some _ | None -> None)
-      | FN.Unscheduled_agg _ -> None
-      | FN.Task_node _ | FN.Rack_node _ | FN.Cluster_agg | FN.Request_agg _ | FN.Sink ->
-          let result = ref None in
-          let it = ref (G.first_out g n) in
-          while !result = None && !it >= 0 do
-            let a = !it in
-            if G.is_forward a && remaining ws g a > 0 then begin
-              consume ws g a;
-              match walk (G.dst g a) (hops + 1) with
-              | Some _ as r -> result := r
-              | None -> refund ws g a
-            end;
-            it := G.next_out g a
-          done;
-          !result
-  in
-  let out = ref [] in
-  FN.iter_task_nodes net (fun tid node ->
-      out := { task = tid; machine = walk node 0 } :: !out);
-  List.sort (fun a b -> compare a.task b.task) !out
-
-let extract_snapshot ?workspace g ~sink ~classify ~tasks =
-  (* Same budget/backtracking walk as [extract_partial], but over a solver
-     snapshot that may have diverged from the live network: node
-     classification goes through [classify] (which the scheduler builds
-     from the live tables plus its mid-solve event log) instead of the
-     network's own kind table, so task and machine nodes removed — or
-     whose ids were recycled — after the snapshot was taken are still
-     interpreted as the snapshot saw them. Sink-arc claims scan the
-     snapshot's out-list: cached handles describe the live network, not
-     the snapshot. *)
-  let ws = match workspace with Some w -> w | None -> create_workspace () in
-  arm_budgets ws g;
-  let claim_sink_unit n =
+  let claim n m =
     let sa = ref (-1) in
     let it = ref (G.first_out g n) in
     while !sa < 0 && !it >= 0 do
@@ -444,9 +406,9 @@ let extract_snapshot ?workspace g ~sink ~classify ~tasks =
     done;
     if !sa >= 0 && remaining ws g !sa > 0 then begin
       consume ws g !sa;
-      true
+      Some m
     end
-    else false
+    else None
   in
   let rec expand n hops =
     let result = ref None in
@@ -465,26 +427,28 @@ let extract_snapshot ?workspace g ~sink ~classify ~tasks =
   and walk n hops =
     if hops > walk_hops || n = sink then None
     else
-      match classify n with
-      | `Machine m -> if claim_sink_unit n then Some m else None
-      | `Blocked -> None
-      | `Through -> expand n hops
+      match List.find_opt (fun (_, fn) -> fn = n) failed with
+      | Some (m, _) -> claim n m
+      | None -> (
+          match FN.kind_opt net n with
+          | Some (FN.Machine_node m) -> claim n m
+          | Some (FN.Rack_node _ | FN.Cluster_agg | FN.Request_agg _) -> expand n hops
+          | Some (FN.Task_node _ | FN.Unscheduled_agg _ | FN.Sink) | None -> None)
+  in
+  let tasks =
+    match tasks with
+    | Some l -> l
+    | None ->
+        let acc = ref [] in
+        FN.iter_task_nodes net (fun tid n -> acc := (tid, n) :: !acc);
+        !acc
   in
   List.sort
     (fun a b -> compare a.task b.task)
     (List.rev_map
        (fun (tid, node) ->
          (* The entry node is always walked as a pass-through: it is the
-            task's own node in the snapshot, whatever its id maps to in
-            the live network by now. *)
+            task's own node in [g], whatever its id means in [net] by now. *)
          let machine = if G.node_is_live g node then expand node 0 else None in
          { task = tid; machine })
        tasks)
-
-let extract_map net =
-  let tbl = Hashtbl.create 256 in
-  List.iter
-    (fun { task; machine } ->
-      match machine with Some m -> Hashtbl.replace tbl task m | None -> ())
-    (extract net);
-  tbl

@@ -1,5 +1,8 @@
-(** Task-placement extraction from the optimal flow (paper §6.3,
-    Listing 1).
+(** Task-placement extraction (paper §6.3, Listing 1), by one of two
+    paths: an exact decomposition of an adopted optimal flow
+    ({!extract_delta}, with {!extract} as the same sync from an empty
+    workspace), or a best-effort, capacity-valid walk over a flow the
+    scheduler will not adopt ({!extract_snapshot}).
 
     Firmament allows arbitrary aggregators between tasks and machines,
     so paths can be longer than in Quincy; this generalizes Quincy's
@@ -10,7 +13,7 @@
     ambiguous; any decomposition of the same flow yields the same
     scheduled-task set and the same per-machine task counts.
 
-    Extraction is {e incremental}: a {!workspace} retains the previous
+    Exact extraction is {e incremental}: a {!workspace} retains the previous
     decomposition, and {!extract_delta} re-walks only tasks whose stored
     path crosses an arc whose flow or identity changed since the last
     sync (per-arc generation stamps, {!Flowgraph.Graph.arc_generation}).
@@ -25,10 +28,10 @@ type assignment = {
 }
 
 (** A reusable extraction state: the delta decomposition plus scratch
-    budgets for the pseudoflow walks. One per scheduler; safe to share
-    between {!extract_delta} and {!extract_partial}/{!extract_snapshot}
-    (the walks use separate epoch-stamped budgets and never disturb the
-    delta state). Not thread-safe. *)
+    budgets for the best-effort walk. One per scheduler; safe to share
+    between {!extract_delta} and {!extract_snapshot} (the walk uses
+    separate epoch-stamped budgets and never disturbs the delta state).
+    Not thread-safe. *)
 type workspace
 
 (** [node_hint]/[arc_hint] (the {!Flow_network.create} topology hints)
@@ -78,48 +81,39 @@ val delta_unscheduled : workspace -> int
     (the stored decomposition matches some graph's flow exactly). *)
 val delta_synced : workspace -> bool
 
-(** [extract_map net] is {!extract} as a hash table over scheduled tasks
-    only. *)
-val extract_map :
-  Flow_network.t -> (Cluster.Types.task_id, Cluster.Types.machine_id) Hashtbl.t
+(** [extract_snapshot ?workspace ?tasks ?failed net g] reads best-effort
+    placements out of a flow [g] the scheduler will not adopt: a
+    deadline-stopped solver's pseudoflow (paper §5.1, Fig. 10), or an
+    optimal solve overtaken by cluster events absorbed while it ran. [g]
+    must share node ids with [net] (a structure-preserving copy of it,
+    possibly taken before later changes to [net]).
 
-(** [extract_partial net] reads placements out of a possibly {e infeasible
-    or non-optimal} intermediate flow (an early-terminated solver run,
-    paper §5.1/Fig. 10): each task's unit of flow is walked toward the
-    sink with backtracking over a per-arc flow budget (an aborted branch
-    refunds what it consumed, so a dead-end probe never leaks flow away
-    from tasks sharing a path prefix); reaching a machine additionally
-    claims a unit of its sink arc — via the O(1) cached handle
-    ({!Flow_network.machine_sink_arc}) — so no machine is ever attributed
-    more tasks than its flow toward the sink: placements are
-    capacity-valid even on a pseudoflow with excess parked mid-graph.
-    Tasks whose flow is unrouted or parks at an unscheduled aggregator
-    report [None]. Unlike {!extract} this never fails, but concurrent
-    units through an aggregator may be attributed to either upstream
-    task. Budgets live in [workspace] (fresh one if omitted) and do not
+    Each task's unit of flow is walked toward the sink with backtracking
+    over a per-arc flow budget: an aborted branch refunds what it
+    consumed, so a dead-end probe never leaks flow away from tasks sharing
+    a path prefix. Reaching a machine also claims a unit of its sink arc
+    in [g], so no machine is attributed more tasks than the flow it
+    forwards to the sink: placements are capacity-valid even on a
+    pseudoflow with excess parked mid-graph. Tasks whose flow is unrouted
+    or parks at an unscheduled aggregator report [None]. On an optimal
+    flow this is an exact decomposition; on a pseudoflow it is best-effort.
+    It never fails, but units merging at an aggregator may be attributed
+    to either upstream task.
+
+    Nodes are read through [net]'s tables and the walk starts from [net]'s
+    task nodes, unless the caller knows better:
+    {ul
+    {- [tasks] lists the tasks to walk with their node ids {e in [g]}
+       (for a snapshot: the tasks that existed when it was taken);}
+    {- [failed] lists machines removed from [net] after [g] was taken,
+       with their node ids in [g]. These nodes read as those machines
+       even if [net] has since recycled the ids.}}
+    Budgets live in [workspace] (a fresh one if omitted) and do not
     disturb its delta state. *)
-val extract_partial : ?workspace:workspace -> Flow_network.t -> assignment list
-
-(** [extract_snapshot g ~sink ~classify ~tasks] is the {!extract_partial}
-    walk applied to a solver {e snapshot} [g] that may have structurally
-    diverged from the live network (nodes added or removed by cluster
-    events absorbed while the solve was in flight). [tasks] lists the
-    tasks that existed when the snapshot was taken, with their node ids
-    {e in the snapshot}; [classify] maps an interior node to how the
-    snapshot saw it — [`Machine m] (a machine, possibly failed since; the
-    walk claims a unit of its sink arc, located by scanning the
-    snapshot's out-list since cached handles describe the live network),
-    [`Through] (an aggregator), or [`Blocked] (unscheduled aggregators
-    and anything unroutable). Entry nodes are always treated as
-    pass-through. On an optimal snapshot this is an exact flow
-    decomposition; on a pseudoflow it is best-effort and capacity-valid,
-    like {!extract_partial}. *)
 val extract_snapshot :
   ?workspace:workspace ->
+  ?tasks:(Cluster.Types.task_id * Flowgraph.Graph.node) list ->
+  ?failed:(Cluster.Types.machine_id * Flowgraph.Graph.node) list ->
+  Flow_network.t ->
   Flowgraph.Graph.t ->
-  sink:Flowgraph.Graph.node ->
-  classify:
-    (Flowgraph.Graph.node ->
-    [ `Machine of Cluster.Types.machine_id | `Through | `Blocked ]) ->
-  tasks:(Cluster.Types.task_id * Flowgraph.Graph.node) list ->
   assignment list

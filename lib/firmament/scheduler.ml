@@ -257,33 +257,42 @@ type t = {
     option;
 }
 
-let create ?(config = default_config) cluster ~policy =
-  (* Pre-size the flow graph from the cluster's shape so steady-state
-     rounds never pay growth doublings: one node per machine/rack plus
-     roughly one task per slot (with aggregator and churn headroom), and
-     a few arcs per node (task→aggregator→machine→sink chains). *)
+(* Pre-size the flow graph from the cluster's shape so steady-state
+   rounds never pay growth doublings: one node per machine/rack plus
+   roughly one task per slot (with aggregator and churn headroom), and a
+   few arcs per node (task→aggregator→machine→sink chains). *)
+let size_hints cluster =
   let topo = Cluster.State.topology cluster in
   let machines = Cluster.Topology.machine_count topo in
   let slots = Cluster.Topology.total_slots topo in
   let node_hint = (2 * (machines + slots)) + 64 in
-  let arc_hint = 4 * node_hint in
-  let net = FN.create ~node_hint ~arc_hint () in
-  let p = policy ~drain:config.drain_on_removal net cluster in
+  (node_hint, 4 * node_hint)
+
+let make config cluster ~net ~policy ~assigned ~preallocate =
+  let node_hint, arc_hint = size_hints cluster in
+  (* The policy installs its structure before the change baseline is read. *)
+  let policy = policy ~drain:config.drain_on_removal net cluster in
   {
     config;
     cluster;
     net;
-    policy = p;
+    policy;
     race =
       Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine
-        ~incremental:config.incremental ~node_hint ~arc_hint ~mode:config.mode ();
-    assigned = Hashtbl.create 1024;
+        ~incremental:config.incremental ~preallocate ~node_hint ~arc_hint
+        ~mode:config.mode ();
+    assigned;
     ws = Placement.create_workspace ~node_hint ~arc_hint ();
     retry = Hashtbl.create 16;
     last_changes = Flowgraph.Graph.peek_changes (FN.graph net);
     pending = None;
     observer = None;
   }
+
+let create ?(config = default_config) cluster ~policy =
+  let node_hint, arc_hint = size_hints cluster in
+  make config cluster ~policy ~assigned:(Hashtbl.create 1024) ~preallocate:true
+    ~net:(FN.create ~node_hint ~arc_hint ())
 
 (* Rebuild a scheduler around restored state: a cluster replayed from a
    snapshot base image and the flow network parsed from its graph dump.
@@ -293,43 +302,19 @@ let create ?(config = default_config) cluster ~policy =
    round after restore reports every task, exactly like the first round
    of a fresh scheduler. The policy factory runs over the restored
    network, where its ensure-style installers find every structure
-   already present and leave the warm graph untouched. *)
+   already present and leave the warm graph untouched.
+   [preallocate:false]: a restore must be live fast, and the eagerly
+   over-provisioned scratch-graph pool costs seconds of zeroing + GC
+   marking at large scale. The solver workspaces are still reserved;
+   only the first post-restore solve's working copies are allocated
+   lazily, at the actual graph size. *)
 let of_restored ?(config = default_config) cluster ~net ~policy =
-  let topo = Cluster.State.topology cluster in
-  let machines = Cluster.Topology.machine_count topo in
-  let slots = Cluster.Topology.total_slots topo in
-  let node_hint = (2 * (machines + slots)) + 64 in
-  let arc_hint = 4 * node_hint in
-  let p = policy ~drain:config.drain_on_removal net cluster in
   let assigned = Hashtbl.create 1024 in
   Cluster.State.iter_tasks cluster (fun task ->
       match Cluster.Workload.machine_of task with
       | Some mm -> Hashtbl.replace assigned task.Cluster.Workload.tid mm
       | None -> ());
-  (* [preallocate:false]: a restore must be live fast, and the eagerly
-     over-provisioned scratch-graph pool costs seconds of zeroing + GC
-     marking at large scale. The solver workspaces are still reserved;
-     only the first post-restore solve's working copies are allocated
-     lazily, at the actual graph size. *)
-  let race =
-    Mcmf.Race.create ~alpha:config.alpha ~price_refine:config.price_refine
-      ~incremental:config.incremental ~preallocate:false ~node_hint ~arc_hint
-      ~mode:config.mode ()
-  in
-  let ws = Placement.create_workspace ~node_hint ~arc_hint () in
-  {
-    config;
-    cluster;
-    net;
-    policy = p;
-    race;
-    assigned;
-    ws;
-    retry = Hashtbl.create 16;
-    last_changes = Flowgraph.Graph.peek_changes (FN.graph net);
-    pending = None;
-    observer = None;
-  }
+  make config cluster ~net ~policy ~assigned ~preallocate:false
 
 (* Arm the incremental-repair path on the restored warm start: certify
    the canonical graph (potentials + flow from the snapshot) exactly as
@@ -436,20 +421,6 @@ let replay_placement t ~now action =
       place tid mm
   | `Preempt tid -> preempt tid
 
-(* Extract best-effort placements from a deadline-stopped solver's
-   pseudoflow when no events interleaved: the live network tables still
-   describe the snapshot, so the partial graph can be mounted directly.
-   The canonical graph must come back even if extraction raises — an
-   exception here must not leave the network pointing at the transient
-   pseudoflow. *)
-let extract_partial_live t partial_graph =
-  let keep = FN.graph t.net in
-  Fun.protect
-    ~finally:(fun () -> FN.set_graph t.net keep)
-    (fun () ->
-      FN.set_graph t.net partial_graph;
-      Placement.extract_partial ~workspace:t.ws t.net)
-
 (* Reading a solver snapshot after mid-solve events: the tasks that
    existed at begin are the current task nodes minus those submitted
    mid-solve, plus those that finished mid-solve (logged with their
@@ -461,29 +432,6 @@ let snapshot_tasks t p =
   FN.iter_task_nodes t.net (fun tid n ->
       if not (Hashtbl.mem added tid) then acc := (tid, n) :: !acc);
   !acc
-
-(* Node classification for the snapshot walk. Machines that failed
-   mid-solve are looked up first: their begin-time node ids may since
-   have been recycled by the graph freelist, and for reading the snapshot
-   the failed-machine interpretation is the correct one (the stale check
-   then discards anything routed there). Nodes the live network no longer
-   knows and that are not logged failures can only be removed task nodes,
-   which carry no inbound flow — blocking them is safe. *)
-let snapshot_classifier t p =
-  let failed = Hashtbl.create 8 in
-  List.iter (fun (mid, n) -> Hashtbl.replace failed n mid) p.p_mid_failed;
-  fun n ->
-    match Hashtbl.find_opt failed n with
-    | Some mid -> `Machine mid
-    | None -> (
-        match FN.kind_opt t.net n with
-        | Some (FN.Machine_node mid) -> `Machine mid
-        | Some (FN.Rack_node _ | FN.Cluster_agg | FN.Request_agg _) -> `Through
-        | Some (FN.Task_node _ | FN.Unscheduled_agg _ | FN.Sink) | None -> `Blocked)
-
-let extract_from_snapshot t p graph =
-  Placement.extract_snapshot ~workspace:t.ws graph ~sink:(FN.sink t.net)
-    ~classify:(snapshot_classifier t p) ~tasks:(snapshot_tasks t p)
 
 (* Begin-time assignments of mid-solve-finished tasks, as a lookup for
    the commit's replay detection; [None] when no task finished. *)
@@ -505,48 +453,6 @@ let is_noop_replay fin_prev task mm =
   | None -> false
   | Some h -> Hashtbl.find_opt h task = Some mm
 
-(* Commit the feasible fraction of a deadline-stopped round: start waiting
-   tasks whose unit of flow reached a machine in the intermediate
-   pseudoflow. Running tasks are left alone — a half-solved flow is no
-   grounds for migrations or preemptions — and every start is checked for
-   staleness (task or target invalidated mid-solve) and re-checked against
-   the authoritative cluster state (machine live, slot free), so only
-   valid placements commit. *)
-let commit_starts ?fin_prev t ~now placements =
-  let starts = ref [] in
-  let discarded = ref [] in
-  let replayed = ref 0 in
-  let discard tid reason counter =
-    discarded := (tid, reason) :: !discarded;
-    Telemetry.Metrics.incr m counter
-  in
-  List.iter
-    (fun { Placement.task; machine } ->
-      match machine with
-      | Some mm ->
-          if Hashtbl.mem t.assigned task then ()
-          else if is_noop_replay fin_prev task mm then begin
-            incr replayed;
-            Telemetry.Metrics.incr m m_replays
-          end
-          else if Cluster.State.task_stale t.cluster task then
-            discard task `Stale_task m_stale_task_discards
-          else if Cluster.State.machine_stale t.cluster mm then
-            discard task `Stale_machine m_stale_machine_discards
-          else if
-            Cluster.Workload.is_waiting (Cluster.State.task t.cluster task)
-            && Cluster.State.free_slots_on t.cluster mm > 0
-          then begin
-            Cluster.State.place t.cluster task mm ~now;
-            Hashtbl.replace t.assigned task mm;
-            t.policy.Policy.task_started (Cluster.State.task t.cluster task) mm;
-            starts := (task, mm) :: !starts
-          end
-          else discard task `Capacity m_capacity_discards
-      | None -> ())
-    placements;
-  (List.rev !starts, List.rev !discarded, !replayed)
-
 (* Diff the solver's placements against the current assignment and apply
    them. Stale placements — tasks finished or preempted mid-solve, or
    aimed at machines that failed mid-solve — are discarded during
@@ -555,7 +461,6 @@ let commit_starts ?fin_prev t ~now placements =
    that vanished under an absorbed event can never be double-booked. *)
 let commit_diff ?fin_prev t ~now placements =
   let starts = ref [] and migrations = ref [] and preempts = ref [] in
-  let unscheduled = ref 0 in
   let discarded = ref [] in
   let replayed = ref 0 in
   let discard tid reason counter =
@@ -586,7 +491,7 @@ let commit_diff ?fin_prev t ~now placements =
           if Cluster.State.task_stale t.cluster task then
             discard task `Stale_task m_stale_task_discards
           else preempts := task :: !preempts
-      | None, None -> incr unscheduled)
+      | None, None -> ())
     placements;
   (* Free slots first (preemptions and migration sources), then place. *)
   List.iter
@@ -628,12 +533,7 @@ let commit_diff ?fin_prev t ~now placements =
       end
       else discard tid `Capacity m_capacity_discards)
     !starts;
-  ( !placed_starts,
-    !placed_migrations,
-    List.rev !preempts,
-    !unscheduled,
-    List.rev !discarded,
-    !replayed )
+  (!placed_starts, !placed_migrations, List.rev !preempts, List.rev !discarded, !replayed)
 
 (* Per-round delta of the graph's cumulative change summary. Clamped at
    zero: adopting a different graph object can lower the totals. Returns
@@ -821,72 +721,7 @@ let commit_round t p ~now =
       close_round
         ~tail:[ ("apply", ck3 - ck2) ]
         { base with degraded = `Failed; unscheduled }
-  | Mcmf.Solver_intf.Stopped ->
-      (* Deadline hit: the canonical graph stays at the pre-round warm
-         start; the stopped solver's pseudoflow is only read for
-         best-effort placements — through the snapshot reader when events
-         interleaved, since the pseudoflow's node ids then describe the
-         begin-of-round network, not the current one. *)
-      Telemetry.Metrics.incr m m_rounds_partial;
-      let started, discarded, replayed, ext_end =
-        match result.Mcmf.Race.partial with
-        | Some pg ->
-            let placements =
-              if interleaved then extract_from_snapshot t p pg
-              else extract_partial_live t pg
-            in
-            let ext_end = Telemetry.Clock.now_ns () in
-            let started, discarded, replayed = commit_starts ?fin_prev t ~now placements in
-            (* The pseudoflow has been consumed; let the next round reuse
-               its storage. *)
-            Mcmf.Race.recycle t.race pg;
-            (started, discarded, replayed, ext_end)
-        | None -> ([], [], 0, ck2)
-      in
-      List.iter (fun (tid, _) -> Hashtbl.replace t.retry tid ()) discarded;
-      Log.debug (fun m ->
-          m "round@%.3f degraded to partial: %d best-effort starts, %d waiting" now
-            (List.length started)
-            (Cluster.State.waiting_count t.cluster));
-      let unscheduled = Cluster.State.waiting_count t.cluster in
-      let ck3 = Telemetry.Clock.now_ns () in
-      Telemetry.Trace.span tr ~phase:t_extract ~t0:ck2 ~t1:ext_end;
-      Telemetry.Trace.span tr ~phase:t_apply ~t0:ext_end ~t1:ck3;
-      Telemetry.Metrics.observe m m_extract_ns (ext_end - ck2);
-      Telemetry.Metrics.observe m m_apply_ns (ck3 - ext_end);
-      close_round
-        ~tail:[ ("extract", ext_end - ck2); ("apply", ck3 - ext_end) ]
-        { base with degraded = `Partial; started; unscheduled; discarded; replayed }
-  | Mcmf.Solver_intf.Optimal when interleaved ->
-      (* Reconcile: the canonical graph absorbed events while the solve
-         was in flight, so the solved snapshot cannot be adopted — doing
-         so would silently undo those events. Read its placements through
-         the mid-solve event log, apply the stale-filtered diff, and keep
-         the canonical (event-current) graph as the next round's warm
-         start. No price refine either: the canonical flow was never
-         certified optimal. *)
-      let placements = extract_from_snapshot t p result.Mcmf.Race.graph in
-      Mcmf.Race.recycle t.race result.Mcmf.Race.graph;
-      let ck4 = Telemetry.Clock.now_ns () in
-      Telemetry.Trace.span tr ~phase:t_extract ~t0:ck2 ~t1:ck4;
-      Telemetry.Metrics.observe m m_extract_ns (ck4 - ck2);
-      let started, migrated, preempted, unscheduled, discarded, replayed =
-        commit_diff ?fin_prev t ~now placements
-      in
-      List.iter (fun (tid, _) -> Hashtbl.replace t.retry tid ()) discarded;
-      Log.debug (fun m ->
-          m
-            "round@%.3f reconciled: %d started, %d migrated, %d preempted, %d \
-             discarded stale"
-            now (List.length started) (List.length migrated)
-            (List.length preempted) (List.length discarded));
-      let ck5 = Telemetry.Clock.now_ns () in
-      Telemetry.Trace.span tr ~phase:t_apply ~t0:ck4 ~t1:ck5;
-      Telemetry.Metrics.observe m m_apply_ns (ck5 - ck4);
-      close_round
-        ~tail:[ ("extract", ck4 - ck2); ("apply", ck5 - ck4) ]
-        { base with started; migrated; preempted; unscheduled; discarded; replayed }
-  | Mcmf.Solver_intf.Optimal ->
+  | Mcmf.Solver_intf.Optimal when not interleaved ->
       let replaced = FN.graph t.net in
       FN.set_graph t.net result.Mcmf.Race.graph;
       (* Swap-on-optimal: the displaced canonical graph becomes the next
@@ -939,13 +774,10 @@ let commit_round t p ~now =
       let ck5 = Telemetry.Clock.now_ns () in
       Telemetry.Trace.span tr ~phase:t_prepare ~t0:ck4 ~t1:ck5;
       Telemetry.Metrics.observe m m_prepare_ns (ck5 - ck4);
-      let started, migrated, preempted, _unscheduled, discarded, replayed =
+      let started, migrated, preempted, discarded, replayed =
         commit_diff t ~now placements
       in
       List.iter (fun (tid, _) -> Hashtbl.replace t.retry tid ()) discarded;
-      (* The delta change list omits tasks whose assignment did not move,
-         so the (None, None) count commit_diff derives from it undercounts;
-         the authoritative number is the cluster's post-commit wait queue. *)
       let unscheduled = Cluster.State.waiting_count t.cluster in
       Log.debug (fun m ->
           m "round@%.3f: %s won in %.4fs; %d started, %d migrated, %d preempted, %d waiting"
@@ -970,6 +802,70 @@ let commit_round t p ~now =
         {
           base with
           degraded = (if retried then `Infeasible_retry else `None);
+          started;
+          migrated;
+          preempted;
+          unscheduled;
+          discarded;
+          replayed;
+        }
+  | (Mcmf.Solver_intf.Stopped | Mcmf.Solver_intf.Optimal) as outcome ->
+      (* Best effort: the solved graph is not adopted. Either the solve was
+         cut short (its pseudoflow is only read), or the canonical graph
+         absorbed events while it ran (adopting would silently undo them).
+         The canonical graph stays the next round's warm start, with no
+         price refine: its flow was never certified optimal. When events
+         interleaved, the solved graph's node ids describe the
+         begin-of-round network, so it is read through the mid-solve log.
+         A cut-short solve is no grounds for migrations or preemptions: it
+         only starts tasks that are not running. *)
+      let stopped = outcome = Mcmf.Solver_intf.Stopped in
+      if stopped then Telemetry.Metrics.incr m m_rounds_partial;
+      let solved =
+        if stopped then result.Mcmf.Race.partial else Some result.Mcmf.Race.graph
+      in
+      let (started, migrated, preempted, discarded, replayed), ext_end =
+        match solved with
+        | None -> (([], [], [], [], 0), ck2)
+        | Some g ->
+            let placements =
+              if interleaved then
+                Placement.extract_snapshot ~workspace:t.ws ~tasks:(snapshot_tasks t p)
+                  ~failed:p.p_mid_failed t.net g
+              else Placement.extract_snapshot ~workspace:t.ws t.net g
+            in
+            let placements =
+              if stopped then
+                List.filter
+                  (fun a -> not (Hashtbl.mem t.assigned a.Placement.task))
+                  placements
+              else placements
+            in
+            let ext_end = Telemetry.Clock.now_ns () in
+            let committed = commit_diff ?fin_prev t ~now placements in
+            Mcmf.Race.recycle t.race g;
+            (committed, ext_end)
+      in
+      List.iter (fun (tid, _) -> Hashtbl.replace t.retry tid ()) discarded;
+      let unscheduled = Cluster.State.waiting_count t.cluster in
+      Log.debug (fun m ->
+          m
+            "round@%.3f best effort (%s): %d started, %d migrated, %d preempted, %d \
+             discarded, %d waiting"
+            now
+            (if stopped then "stopped" else "interleaved")
+            (List.length started) (List.length migrated) (List.length preempted)
+            (List.length discarded) unscheduled);
+      let ck3 = Telemetry.Clock.now_ns () in
+      Telemetry.Trace.span tr ~phase:t_extract ~t0:ck2 ~t1:ext_end;
+      Telemetry.Trace.span tr ~phase:t_apply ~t0:ext_end ~t1:ck3;
+      Telemetry.Metrics.observe m m_extract_ns (ext_end - ck2);
+      Telemetry.Metrics.observe m m_apply_ns (ck3 - ext_end);
+      close_round
+        ~tail:[ ("extract", ext_end - ck2); ("apply", ck3 - ext_end) ]
+        {
+          base with
+          degraded = (if stopped then `Partial else `None);
           started;
           migrated;
           preempted;

@@ -15,7 +15,7 @@
     {- [`Partial] — the round deadline (or caller stop) fired mid-solve.
        The canonical flow network keeps the pre-round warm start; the
        stopped solver's intermediate pseudoflow is read once with
-       {!Placement.extract_partial} to start whatever waiting tasks it
+       {!Placement.extract_snapshot} to start whatever waiting tasks it
        feasibly routed (capacity re-checked against the cluster state);
        running tasks are never migrated or preempted on partial
        information.}
@@ -43,10 +43,12 @@
     applied (reported in [round.discarded] with a {!discard_reason}), and
     every remaining placement is re-checked against the authoritative
     cluster state, so absorbed events can never be double-booked or
-    silently undone. When events interleaved with an optimal solve, the
-    solved snapshot is read through the mid-solve event log and the
-    canonical (event-current) graph is kept as the next warm start; when
-    nothing interleaved, commit takes exactly the synchronous paths.
+    silently undone. When events interleaved with the solve, the solved
+    snapshot is read through the mid-solve event log
+    ({!Placement.extract_snapshot}, the same best-effort walk a
+    [`Partial] round uses) and the canonical (event-current) graph is
+    kept as the next warm start; when nothing interleaved, commit takes
+    exactly the synchronous paths.
 
     Configured with [mode = Cost_scaling_scratch_only] and the Quincy
     policy, this {e is} the paper's Quincy baseline (§7.1). *)
@@ -108,7 +110,9 @@ type round = {
     (Cluster.Types.task_id * Cluster.Types.machine_id * Cluster.Types.machine_id) list;
       (** (task, from, to) *)
   preempted : Cluster.Types.task_id list;
-  unscheduled : int;  (** live tasks left waiting by this round *)
+  unscheduled : int;
+      (** the cluster's wait queue after this round's commit, tasks
+          submitted while the solve was in flight included *)
   discarded : (Cluster.Types.task_id * discard_reason) list;
       (** solver placements dropped at commit: stale (the task or target
           machine was invalidated by an event absorbed mid-solve) or

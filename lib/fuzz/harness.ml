@@ -305,22 +305,23 @@ let commit_pending st =
       st.round_idx <- st.round_idx + 1;
       Some r
 
+(* A stop predicate that fires after [polls] polls ([None] if [polls <= 0]). *)
+let poll_stop polls =
+  if polls <= 0 then None
+  else begin
+    let n = ref 0 in
+    Some
+      (fun () ->
+        incr n;
+        !n > polls)
+  end
+
 (* One synchronous round, assuming no round is in flight (callers flush
    via [commit_pending] first). *)
 let sync_round st ~polls =
-  let stop =
-    if polls <= 0 then None
-    else begin
-      let n = ref 0 in
-      Some
-        (fun () ->
-          incr n;
-          !n > polls)
-    end
-  in
   st.sync_round <- true;
   let w0 = Telemetry.Clock.now_ns () in
-  let r = S.schedule ?stop st.sched ~now:st.now in
+  let r = S.schedule ?stop:(poll_stop polls) st.sched ~now:st.now in
   let w1 = Telemetry.Clock.now_ns () in
   let sum = List.fold_left (fun acc (_, d) -> acc + d) 0 r.S.phase_ns in
   if sum > w1 - w0 then
@@ -381,10 +382,10 @@ let apply_event ?journal st (ev : Dcsim.Churn.event) =
          journal too *)
       note_round (commit_pending st);
       note_round (Some (sync_round st ~polls))
-  | Begin_round ->
+  | Begin_round { polls } ->
       note_round (commit_pending st);
       st.pending_t0 <- Telemetry.Clock.now_ns ();
-      st.pending <- Some (S.begin_round st.sched ~now:st.now)
+      st.pending <- Some (S.begin_round ?stop:(poll_stop polls) st.sched ~now:st.now)
   | Commit_round -> note_round (commit_pending st)
 
 let run_mode config mode events =
@@ -614,7 +615,7 @@ let run_crash_recovery config ~seed events =
     let roll n = Random.State.int rng n = 0 in
     match (ev : Dcsim.Churn.event) with
     | Round _ | Commit_round -> roll 4 (* round boundary *)
-    | Begin_round -> roll 2 (* mid-round, solver in flight *)
+    | Begin_round _ -> roll 2 (* mid-round, solver in flight *)
     | _ -> roll 12
   in
   let saved_floor = !Mcmf.Cost_scaling.debug_eps_floor in

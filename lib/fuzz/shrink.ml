@@ -85,6 +85,8 @@ let minimize ~fails ?(simplify = fun _ -> []) events =
 let simplify_event (ev : Dcsim.Churn.event) : Dcsim.Churn.event list =
   match ev with
   | Dcsim.Churn.Round { polls } when polls > 0 -> [ Dcsim.Churn.Round { polls = 0 } ]
+  | Dcsim.Churn.Begin_round { polls } when polls > 0 ->
+      [ Dcsim.Churn.Begin_round { polls = 0 } ]
   | Dcsim.Churn.Submit ({ tasks; _ } as s) when tasks > 1 ->
       [ Dcsim.Churn.Submit { s with tasks = 1 } ]
   | Dcsim.Churn.Perturb_costs ({ arcs; _ } as p) when arcs > 1 ->

@@ -96,9 +96,9 @@ type result = {
           round never corrupts the caller's warm-start state *)
   partial : Flowgraph.Graph.t option;
       (** on [Stopped]: the stopped solver's intermediate pseudoflow
-          (a structure-preserving copy of the input), suitable for
-          best-effort placement extraction
-          ({!Firmament.Placement.extract_partial}); [None] otherwise *)
+          (a structure-preserving copy of the input), suitable for the
+          best-effort placement walk
+          ({!Firmament.Placement.extract_snapshot}); [None] otherwise *)
   winner : winner;
   stats : Solver_intf.stats;  (** the winner's stats — inspect [outcome] *)
   relaxation_stats : Solver_intf.stats option;

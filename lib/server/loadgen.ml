@@ -493,7 +493,7 @@ let drive_trace st ~schedule =
           | Dcsim.Churn.Restore_machine mid ->
               send (P.Restore_machine { seq; machine = mid }) ~weight:1
           | Dcsim.Churn.Perturb_costs _ | Dcsim.Churn.Round _
-          | Dcsim.Churn.Begin_round | Dcsim.Churn.Commit_round ->
+          | Dcsim.Churn.Begin_round _ | Dcsim.Churn.Commit_round ->
               (* Firehose.wire_events filtered these *)
               ())
         end

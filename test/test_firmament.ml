@@ -170,9 +170,13 @@ let test_extract_multi_hop_aggregators () =
   G.push g rm1 1;
   G.push g (Option.get (FN.find_arc net m0 (FN.sink net))) 1;
   G.push g (Option.get (FN.find_arc net m1 (FN.sink net))) 1;
-  let m = Firmament.Placement.extract_map net in
-  checki "both placed" 2 (Hashtbl.length m);
-  let m0' = Hashtbl.find m 0 and m1' = Hashtbl.find m 1 in
+  let machine_of tid =
+    List.find_map
+      (fun a ->
+        if a.Firmament.Placement.task = tid then a.Firmament.Placement.machine else None)
+      (Firmament.Placement.extract net)
+  in
+  let m0' = Option.get (machine_of 0) and m1' = Option.get (machine_of 1) in
   checkb "distinct machines" true (m0' <> m1');
   checkb "valid ids" true (List.mem m0' [ 0; 1 ] && List.mem m1' [ 0; 1 ])
 
@@ -196,7 +200,10 @@ let test_extract_rejects_infeasible () =
         in
         contains 0)
 
-let test_extract_partial_reads_incomplete_flow () =
+(* The best-effort walk over the network's own graph. *)
+let best_effort net = Firmament.Placement.extract_snapshot net (FN.graph net)
+
+let test_best_effort_reads_incomplete_flow () =
   (* Route only one of two tasks; the lenient extractor reports the other
      as unplaced instead of failing. *)
   let net = FN.create () in
@@ -210,7 +217,7 @@ let test_extract_partial_reads_incomplete_flow () =
   (match Firmament.Placement.extract net with
   | _ -> Alcotest.fail "strict extraction must reject infeasible flow"
   | exception Failure _ -> ());
-  let partial = Firmament.Placement.extract_partial net in
+  let partial = best_effort net in
   Alcotest.(check (list (pair int (option int))))
     "partial placements"
     [ (0, Some 0); (1, None) ]
@@ -219,7 +226,7 @@ let test_extract_partial_reads_incomplete_flow () =
 let partial_pairs partial =
   List.map (fun p -> (p.Firmament.Placement.task, p.Firmament.Placement.machine)) partial
 
-let test_extract_partial_backtracks_and_refunds () =
+let test_best_effort_backtracks_and_refunds () =
   (* Two tasks through an aggregator; a dead-end arc (flow parked at a
      rack that forwards nothing) is probed first thanks to head insertion.
      Both walks must probe it, refund it, and still place both tasks — a
@@ -242,9 +249,9 @@ let test_extract_partial_backtracks_and_refunds () =
   Alcotest.(check (list (pair int (option int))))
     "both tasks placed despite the dead-end probe"
     [ (0, Some 0); (1, Some 0) ]
-    (partial_pairs (Firmament.Placement.extract_partial net))
+    (partial_pairs (best_effort net))
 
-let test_extract_partial_machine_sink_budget () =
+let test_best_effort_machine_sink_budget () =
   (* The walk reaches a machine whose sink arc carries no flow (excess
      parked there mid-solve): it must not claim that machine, and must
      back out and find the one whose flow actually drains. *)
@@ -264,9 +271,9 @@ let test_extract_partial_machine_sink_budget () =
   Alcotest.(check (list (pair int (option int))))
     "placed on the machine with sink flow"
     [ (0, Some 1) ]
-    (partial_pairs (Firmament.Placement.extract_partial net))
+    (partial_pairs (best_effort net))
 
-let test_extract_partial_never_oversubscribes () =
+let test_best_effort_never_oversubscribes () =
   (* Two units of task flow converge on a machine that forwards only one
      to the sink: at most one task may be attributed to it. *)
   let net = FN.create () in
@@ -282,7 +289,7 @@ let test_extract_partial_never_oversubscribes () =
   let placed =
     List.filter
       (fun p -> p.Firmament.Placement.machine <> None)
-      (Firmament.Placement.extract_partial net)
+      (best_effort net)
   in
   checki "exactly one placement" 1 (List.length placed)
 
@@ -294,7 +301,15 @@ let test_validate_structure_detects_drift () =
      placement extractor relies on. *)
   let other = FN.ensure_machine net 1 ~slots:2 in
   ignore (G.add_arc (FN.graph net) ~src:m ~dst:other ~cost:0 ~cap:1);
-  checkb "violation reported" true (FN.validate_structure net <> [])
+  checkb "violation reported" true (FN.validate_structure net <> []);
+  (* So does a machine that lost its arc to the sink. *)
+  let net = FN.create () in
+  let m = FN.ensure_machine net 0 ~slots:2 in
+  G.remove_arc (FN.graph net) (Option.get (FN.find_arc net m (FN.sink net)));
+  checkb "missing sink arc reported" true
+    (List.exists
+       (fun e -> e = "machine 0 has no arc to the sink")
+       (FN.validate_structure net))
 
 (* {1 Scheduler + policies, end to end} *)
 
@@ -866,6 +881,103 @@ let test_pipeline_stale_reconciliation () =
     (List.length r3.Firmament.Scheduler.started);
   checki "none waiting" 0 (Cluster.State.waiting_count cluster)
 
+let test_pipeline_stopped_interleaved_round () =
+  (* A pipelined round stopped after [k] polls, with a task finish and a
+     machine failure absorbed between begin and commit: the best-effort
+     commit reads the pseudoflow through the mid-solve log, only starts
+     tasks, lands nothing on the failed machine and never oversubscribes
+     a slot; the next full round recovers. Incremental repair is off so
+     the stop lands inside a full solver, whose pseudoflow (under the
+     cost-scaling modes) has routed part of the new work. *)
+  let partial_starts = ref 0 in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun k ->
+          let what = Printf.sprintf "%s, %d polls" (Fuzz.Harness.mode_name mode) k in
+          let cluster = mk_cluster ~machines:64 ~slots:2 in
+          let sched =
+            Firmament.Scheduler.create
+              ~config:{ Firmament.Scheduler.default_config with mode; incremental = false }
+              cluster
+              ~policy:(fun ~drain net st -> Firmament.Policy_quincy.make ~drain net st)
+          in
+          let pref ~tid ~job ~m ~submit =
+            quincy_task ~tid ~job ~submit ~duration:100. ~input_mb:90.
+              ~input_machines:[ m; m; m ]
+          in
+          Firmament.Scheduler.submit_job sched
+            (job_of_tasks ~jid:0 ~submit:0.
+               (List.init 64 (fun i -> pref ~tid:i ~job:0 ~m:i ~submit:0.)));
+          ignore (solve_sched sched ~now:0.);
+          Firmament.Scheduler.submit_job sched
+            (job_of_tasks ~jid:1 ~submit:1.
+               (List.init 48 (fun i -> pref ~tid:(1000 + i) ~job:1 ~m:i ~submit:1.)));
+          let polls = ref 0 in
+          let stop () =
+            incr polls;
+            !polls > k
+          in
+          let p = Firmament.Scheduler.begin_round ~stop sched ~now:1. in
+          Firmament.Scheduler.finish_task sched 0 ~now:1.;
+          Firmament.Scheduler.fail_machine sched 2;
+          let before = Hashtbl.copy (Firmament.Scheduler.assignments sched) in
+          let r2 = Firmament.Scheduler.commit_round sched p ~now:1. in
+          let degraded = r2.Firmament.Scheduler.degraded in
+          checkb (what ^ ": best-effort rung") true (List.mem degraded [ `Partial; `None ]);
+          if k = 0 then Alcotest.check degraded_t (what ^ ": stopped") `Partial degraded;
+          if degraded = `Partial then begin
+            partial_starts := !partial_starts + List.length r2.Firmament.Scheduler.started;
+            checki (what ^ ": no migrations") 0
+              (List.length r2.Firmament.Scheduler.migrated);
+            checki (what ^ ": no preemptions") 0
+              (List.length r2.Firmament.Scheduler.preempted);
+            Hashtbl.iter
+              (fun tid mm ->
+                checkb (what ^ ": running task stays put") true
+                  (Hashtbl.find_opt (Firmament.Scheduler.assignments sched) tid = Some mm))
+              before
+          end;
+          checkb (what ^ ": nothing started on the failed machine") true
+            (List.for_all (fun (_, mm) -> mm <> 2) r2.Firmament.Scheduler.started);
+          checki (what ^ ": failed machine runs nothing") 0
+            (Cluster.State.running_count cluster 2);
+          for m = 0 to 63 do
+            checkb (what ^ ": no oversubscription") true
+              (Cluster.State.running_count cluster m <= 2)
+          done;
+          checki (what ^ ": unscheduled is the wait queue")
+            (Cluster.State.waiting_count cluster) r2.Firmament.Scheduler.unscheduled;
+          checkb (what ^ ": network invariants hold") true
+            (FN.validate_structure (Firmament.Scheduler.network sched) = []);
+          Firmament.Scheduler.restore_machine sched 2;
+          let r3 = solve_sched sched ~now:2. in
+          Alcotest.check degraded_t (what ^ ": next round recovers") `None
+            r3.Firmament.Scheduler.degraded;
+          checki (what ^ ": none waiting") 0 (Cluster.State.waiting_count cluster))
+        [ 0; 1; 2 ])
+    all_race_modes;
+  checkb "some stopped round started tasks" true (!partial_starts > 0)
+
+let test_pipeline_interleaved_unscheduled () =
+  (* An optimal solve overtaken by a mid-solve submission is read through
+     the mid-solve log, whose task list predates the submission; the
+     round still reports the post-commit wait queue, which includes it. *)
+  let cluster = mk_cluster ~machines:2 ~slots:1 in
+  let sched =
+    Firmament.Scheduler.create cluster ~policy:(fun ~drain net st ->
+        Firmament.Policy_load_spread.make ~drain net st)
+  in
+  Firmament.Scheduler.submit_job sched (simple_job ~jid:0 ~n:1 ~submit:0. ~duration:10.);
+  let p = Firmament.Scheduler.begin_round sched ~now:0. in
+  Firmament.Scheduler.submit_job sched (simple_job ~jid:1 ~n:3 ~submit:0. ~duration:10.);
+  let r = Firmament.Scheduler.commit_round sched p ~now:0. in
+  Alcotest.check degraded_t "optimal" `None r.Firmament.Scheduler.degraded;
+  checki "snapshot task started" 1 (List.length r.Firmament.Scheduler.started);
+  checki "mid-solve submissions counted as waiting" 3 r.Firmament.Scheduler.unscheduled;
+  checki "equals the wait queue" (Cluster.State.waiting_count cluster)
+    r.Firmament.Scheduler.unscheduled
+
 let test_pipeline_one_round_in_flight () =
   let cluster = mk_cluster ~machines:2 ~slots:1 in
   let sched =
@@ -940,9 +1052,10 @@ let test_quincy_refresh_wait_cost_bucketing () =
 
    Brute-force audit of the extraction pass: however the single-pass
    tracing attributes tasks, the number of tasks it assigns to a machine
-   must equal (strict [extract] and [extract_snapshot] on an optimal flow)
-   or never exceed ([extract_partial] on a stopped solver's pseudoflow)
-   the flow that machine actually forwards to the sink. *)
+   must equal (strict [extract], and the best-effort [extract_snapshot] on
+   an optimal flow) or never exceed ([extract_snapshot] on a stopped
+   solver's pseudoflow) the flow that machine actually forwards to the
+   sink. *)
 
 (* A random Firmament-shaped network: tasks with direct preference arcs,
    a cluster-aggregator fallback and a per-job unscheduled path (so every
@@ -1005,7 +1118,7 @@ let flow_audit ~exact net assignments mnodes =
 
 let prop_extract_matches_flow_audit =
   QCheck.Test.make
-    ~name:"extract / extract_partial placements = machine sink flow" ~count:80
+    ~name:"extract / best-effort walk placements = machine sink flow" ~count:80
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let net, tnodes, mnodes, _, _ = random_audit_net seed in
@@ -1017,12 +1130,12 @@ let prop_extract_matches_flow_audit =
            && flow_audit ~exact:true net a mnodes
            (* On an optimal flow the lenient walk is an exact flow
               decomposition too. *)
-           && flow_audit ~exact:true net (Firmament.Placement.extract_partial net) mnodes
+           && flow_audit ~exact:true net (best_effort net) mnodes
          end)
 
-let prop_extract_partial_capacity_valid_on_pseudoflow =
+let prop_best_effort_capacity_valid_on_pseudoflow =
   QCheck.Test.make
-    ~name:"extract_partial never exceeds sink flow on a stopped solve" ~count:80
+    ~name:"best-effort walk never exceeds sink flow on a stopped solve" ~count:80
     QCheck.(pair (int_bound 1_000_000) (int_bound 20))
     (fun (seed, polls) ->
       let net, _, mnodes, _, _ = random_audit_net seed in
@@ -1034,28 +1147,20 @@ let prop_extract_partial_capacity_valid_on_pseudoflow =
       (* Whatever state the early-terminated solver leaves behind,
          placements must stay capacity-valid against the actual flow. *)
       ignore (Mcmf.Ssp.solve ~stop (FN.graph net));
-      flow_audit ~exact:false net (Firmament.Placement.extract_partial net) mnodes)
+      flow_audit ~exact:false net (best_effort net) mnodes)
 
 let prop_extract_snapshot_matches_flow_audit =
   QCheck.Test.make ~name:"extract_snapshot = machine sink flow on a snapshot"
     ~count:80
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let net, tnodes, mnodes, agg, _ = random_audit_net seed in
+      let net, tnodes, mnodes, _, _ = random_audit_net seed in
       let g = FN.graph net in
       let st = Mcmf.Ssp.solve g in
       st.Mcmf.Solver_intf.outcome = Mcmf.Solver_intf.Optimal
       && begin
            let snap = G.copy g in
-           let classify n =
-             match List.find_opt (fun (_, mn) -> mn = n) mnodes with
-             | Some (mid, _) -> `Machine mid
-             | None -> if n = agg then `Through else `Blocked
-           in
-           let a =
-             Firmament.Placement.extract_snapshot snap ~sink:(FN.sink net)
-               ~classify ~tasks:tnodes
-           in
+           let a = Firmament.Placement.extract_snapshot ~tasks:tnodes net snap in
            let placed l =
              List.sort compare
                (List.map
@@ -1433,24 +1538,24 @@ let () =
         ] );
       ( "placement",
         [
-          Alcotest.test_case "partial extraction" `Quick test_extract_partial_reads_incomplete_flow;
+          Alcotest.test_case "partial extraction" `Quick test_best_effort_reads_incomplete_flow;
           Alcotest.test_case "structure validation" `Quick test_validate_structure_detects_drift;
           Alcotest.test_case "simple chain" `Quick test_extract_simple_chain;
           Alcotest.test_case "unscheduled task" `Quick test_extract_unscheduled_task;
           Alcotest.test_case "multi-hop aggregators" `Quick test_extract_multi_hop_aggregators;
           Alcotest.test_case "rejects infeasible flow" `Quick test_extract_rejects_infeasible;
           Alcotest.test_case "partial walk backtracks and refunds" `Quick
-            test_extract_partial_backtracks_and_refunds;
+            test_best_effort_backtracks_and_refunds;
           Alcotest.test_case "partial walk claims machine sink budget" `Quick
-            test_extract_partial_machine_sink_budget;
+            test_best_effort_machine_sink_budget;
           Alcotest.test_case "partial walk never oversubscribes" `Quick
-            test_extract_partial_never_oversubscribes;
+            test_best_effort_never_oversubscribes;
         ] );
       ( "placement-audit",
         qcheck
           [
             prop_extract_matches_flow_audit;
-            prop_extract_partial_capacity_valid_on_pseudoflow;
+            prop_best_effort_capacity_valid_on_pseudoflow;
             prop_extract_snapshot_matches_flow_audit;
           ] );
       ( "scheduler",
@@ -1496,6 +1601,10 @@ let () =
           Alcotest.test_case "stale placements reconciled at commit" `Quick
             test_pipeline_stale_reconciliation;
           Alcotest.test_case "one round in flight" `Quick test_pipeline_one_round_in_flight;
+          Alcotest.test_case "stopped interleaved round only starts" `Quick
+            test_pipeline_stopped_interleaved_round;
+          Alcotest.test_case "interleaved round counts mid-solve waits" `Quick
+            test_pipeline_interleaved_unscheduled;
           Alcotest.test_case "machine restore reinstalls preferences" `Quick
             test_quincy_machine_restored_reinstalls_preferences;
           Alcotest.test_case "refresh quantizes wait-cost churn" `Quick

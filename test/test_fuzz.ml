@@ -19,7 +19,13 @@ let test_churn_roundtrip () =
     checki "length" 80 (List.length trace);
     let trace' = Churn.of_lines (Churn.to_lines trace) in
     checkb "serialization round-trips" true (trace = trace')
-  done
+  done;
+  (* Artifacts written before [begin] carried a poll budget still replay. *)
+  checkb "bare begin reads as a full solve" true
+    (Churn.of_line "begin" = Churn.Begin_round { polls = 0 });
+  checkb "begin carries its poll budget" true
+    (Churn.of_line (Churn.to_line (Churn.Begin_round { polls = 7 }))
+    = Churn.Begin_round { polls = 7 })
 
 let test_churn_deterministic () =
   let a = Churn.generate ~seed:42 ~machines:6 ~length:50 in
@@ -201,6 +207,9 @@ let test_shrink_event_simplifier () =
   checkb "round polls drop" true
     (Shrink.simplify_event (Churn.Round { polls = 9 })
     = [ Churn.Round { polls = 0 } ]);
+  checkb "begin-round polls drop" true
+    (Shrink.simplify_event (Churn.Begin_round { polls = 9 })
+    = [ Churn.Begin_round { polls = 0 } ]);
   checkb "submit shrinks to one task" true
     (match
        Shrink.simplify_event
