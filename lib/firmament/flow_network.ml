@@ -164,7 +164,7 @@ let drain_task_flow t node =
         it := G.next_out t.g a
       done;
       if !carrier >= 0 then begin
-        G.push t.g (G.rev !carrier) 1;
+        G.push_journaled t.g (G.rev !carrier) 1;
         walk (G.dst t.g !carrier)
       end
     end
@@ -240,7 +240,7 @@ let reroute_direct t tid m ~cost =
         if not !found then false
         else begin
           (* Cancel the task's own first hop... *)
-          G.push t.g (G.rev !first_hop) 1;
+          G.push_journaled t.g (G.rev !first_hop) 1;
           (* ...cancel one unit along the discovered chain (pushing on the
              reverse arcs walks the reduction from the machine back to the
              target aggregator)... *)
@@ -248,7 +248,7 @@ let reroute_direct t tid m ~cost =
             if n <> mn then begin
               let a = Hashtbl.find parent n in
               (* a runs src->n with src closer to the machine. *)
-              G.push t.g a 1;
+              G.push_journaled t.g a 1;
               unwind (G.src t.g a)
             end
           in
@@ -270,7 +270,7 @@ let reroute_direct t tid m ~cost =
                 a
             | None -> G.add_arc t.g ~src:tn ~dst:mn ~cost ~cap:1
           in
-          G.push t.g direct 1;
+          G.push_journaled t.g direct 1;
           true
         end
       end

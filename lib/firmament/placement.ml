@@ -55,11 +55,24 @@ type workspace = {
   (* pending (tid, prev-mach) pairs during a sync *)
   mutable pend : int array;
   mutable pend_top : int;
+  (* the graph of the last successful sync, and its push count and
+     journal position then: the arcs that changed since are the journal
+     entries since that position plus the repair log, if both cover it *)
+  mutable synced_graph : G.t option;
+  mutable synced_pushes : int;
+  mutable synced_journal : int;
   (* scratch budgets for the backtracking walk, per forward-arc slot *)
   mutable budget : int array;
   mutable budget_mark : int array; (* epoch marks *)
   mutable budget_epoch : int;
 }
+
+let m = Telemetry.Metrics.global ()
+
+let m_dirty_syncs =
+  Telemetry.Metrics.counter m
+    ~help:"delta extractions that walked the dirty journal and repair log, not every arc"
+    "placement_dirty_list_syncs_total"
 
 (* [node_hint]/[arc_hint] pre-size the slot- and arc-indexed arrays from
    the topology (roughly one tracked task per task node, one forward-arc
@@ -86,6 +99,9 @@ let create_workspace ?(node_hint = 0) ?(arc_hint = 0) () =
     synced = false;
     pend = Array.make 128 0;
     pend_top = 0;
+    synced_graph = None;
+    synced_pushes = 0;
+    synced_journal = 0;
     budget = Array.make arc_cap 0;
     budget_mark = Array.make arc_cap 0;
     budget_epoch = 0;
@@ -154,7 +170,8 @@ let reset ws =
   ws.s_free_top <- 0;
   ws.n_unsched <- 0;
   ws.pend_top <- 0;
-  ws.synced <- false
+  ws.synced <- false;
+  ws.synced_graph <- None
 
 let push_pending ws tid prev =
   if ws.pend_top + 2 > Array.length ws.pend then
@@ -209,11 +226,30 @@ let route_task ws net g sink tid node =
       raise
         (Desync (Printf.sprintf "node %d sends task flow directly to the sink" !prev))
 
-(* One sync pass: dirty-scan the arcs, revoke paths the new flow no
+(* Mark arc slot [k] if its flow or generation changed since the last
+   sync; true if it did. Dead slots read as flow 0 / generation 0. *)
+let check_slot ws g epoch k =
+  let a = 2 * k in
+  let live = G.arc_is_live g a in
+  let flw = if live then G.rescap g (a + 1) else 0 in
+  let gn = if live then G.arc_generation g a else 0 in
+  let dirty = ref false in
+  if gn <> ws.gen.(k) then begin
+    ws.gen_dirty.(k) <- epoch;
+    ws.gen.(k) <- gn;
+    dirty := true
+  end;
+  if flw <> ws.used.(k) then begin
+    ws.flow_dirty.(k) <- epoch;
+    dirty := true
+  end;
+  !dirty
+
+(* One sync pass: find the dirty arcs, revoke paths the new flow no
    longer supports, re-route revoked and new tasks, [emit] each task
    whose stored path was (re)built. Raises {!Desync} if the stored state
    and the graph disagree structurally. *)
-let sync_pass ws net ~emit =
+let sync_pass ws net ~pushed ~emit =
   let g = FN.graph net in
   let sink = FN.sink net in
   let nslots = (G.arc_bound g + 1) / 2 in
@@ -221,23 +257,26 @@ let sync_pass ws net ~emit =
   ws.epoch <- ws.epoch + 1;
   let epoch = ws.epoch in
   let any_dirty = ref false in
-  (* Pass 1: per-arc dirty scan — flow or generation changed since the
-     last sync. Dead slots read as flow 0 / generation 0. *)
-  for k = 0 to nslots - 1 do
-    let a = 2 * k in
-    let live = G.arc_is_live g a in
-    let flw = if live then G.rescap g (a + 1) else 0 in
-    let gn = if live then G.arc_generation g a else 0 in
-    if gn <> ws.gen.(k) then begin
-      ws.gen_dirty.(k) <- epoch;
-      ws.gen.(k) <- gn;
-      any_dirty := true
-    end;
-    if flw <> ws.used.(k) then begin
-      ws.flow_dirty.(k) <- epoch;
-      any_dirty := true
-    end
-  done;
+  (* Pass 1: the slots whose flow or generation changed since the last
+     sync. On the graph synced last, with its journal intact since and
+     every solver push since in the repair log, those are journal ∪ log;
+     otherwise scan every slot. *)
+  let note a = if check_slot ws g epoch (a lsr 1) then any_dirty := true in
+  let listed =
+    match ws.synced_graph with
+    | Some sg when sg == g ->
+        (* Marking is idempotent, so if the journal turns out lost after
+           the log was walked, the full scan below still marks exactly
+           what it would have marked alone. *)
+        pushed g ~since:ws.synced_pushes note
+        && G.iter_journal_since g ws.synced_journal note
+    | Some _ | None -> false
+  in
+  if listed then Telemetry.Metrics.incr m m_dirty_syncs
+  else
+    for k = 0 to nslots - 1 do
+      if check_slot ws g epoch k then any_dirty := true
+    done;
   ws.pend_top <- 0;
   if !any_dirty || FN.task_count net <> Int_table.length ws.slots then begin
     (* Pass 2: revoke stored paths invalidated by the dirty arcs. A path
@@ -277,9 +316,28 @@ let sync_pass ws net ~emit =
           end
         end
       done;
-    (* Pass 3: tasks the network has that we do not track yet. *)
-    FN.iter_task_nodes net (fun tid _node ->
-        if Int_table.find ws.slots tid < 0 then push_pending ws tid (-2));
+    (* Pass 3: tasks the network has that we do not track yet. Those
+       not revoked above joined since the last sync, so on the listed
+       path they are tails of journaled arcs: task nodes are the
+       network's only sources, and a task's arcs are added with it, one
+       after another (hence skipping repeats of the previous tail).
+       Otherwise walk every task. *)
+    let untracked tid = if Int_table.find ws.slots tid < 0 then push_pending ws tid (-2) in
+    if listed then begin
+      let last = ref (-1) in
+      ignore
+        (G.iter_journal_since g ws.synced_journal (fun a ->
+             let s = G.src g a in
+             if G.arc_is_live g a && s <> !last && G.supply g s > 0 then begin
+               last := s;
+               match FN.kind net s with
+               | FN.Task_node tid -> untracked tid
+               | FN.Machine_node _ | FN.Rack_node _ | FN.Cluster_agg | FN.Request_agg _
+               | FN.Unscheduled_agg _ | FN.Sink ->
+                   ()
+             end))
+    end
+    else FN.iter_task_nodes net (fun tid _node -> untracked tid);
     (* Pass 4: re-route. A task revoked in pass 2 is untracked by the
        time pass 3 scans, so it is pushed twice; the slot check routes
        (and emits) it exactly once. Emitted unconditionally — the
@@ -300,25 +358,38 @@ let sync_pass ws net ~emit =
             emit tid (if m < 0 then None else Some m)
           end);
       i := !i + 2
-    done
+    done;
+    (* Every network task is tracked now, and only those: a miss on the
+       listed path surfaces here and the caller rebuilds. *)
+    if Int_table.length ws.slots <> FN.task_count net then
+      raise (Desync "tracked tasks differ from the network's")
   end
 
-let sync_with_rebuild ws net ~emit =
+let sync_with_rebuild ws net ~pushed ~emit =
   ws.synced <- false;
-  (try sync_pass ws net ~emit
+  (try sync_pass ws net ~pushed ~emit
    with Desync _ ->
      (* Stored state diverged from the graph (should not happen when the
         caller only syncs adopted optimal flows): rebuild from scratch.
         A failure on a clean rebuild is a genuine structural violation. *)
      reset ws;
-     (try sync_pass ws net ~emit with Desync msg -> fail "Placement.extract: %s" msg));
-  ws.synced <- true
+     (try sync_pass ws net ~pushed ~emit
+      with Desync msg -> fail "Placement.extract: %s" msg));
+  ws.synced <- true;
+  let g = FN.graph net in
+  ws.synced_graph <- Some g;
+  ws.synced_pushes <- G.push_count g;
+  ws.synced_journal <- G.journal_position g
 
-let extract_delta ws net =
+let extract_delta ~pushed ws net =
   if not ws.synced then reset ws;
   let changes = ref [] in
   let emit tid m = changes := (tid, m) :: !changes in
-  sync_with_rebuild ws net ~emit;
+  sync_with_rebuild ws net ~pushed ~emit;
+  (* This workspace is the journal's consumer: drop what it has read. *)
+  let g = FN.graph net in
+  G.clear_journal g;
+  ws.synced_journal <- G.journal_position g;
   !changes
 
 let delta_assignments ws =
@@ -349,7 +420,8 @@ let extract ?workspace net =
         fail "Placement.extract: infeasible flow (node %d has excess %d)" n (G.excess g n));
   let ws = match workspace with Some w -> w | None -> create_workspace () in
   reset ws;
-  sync_with_rebuild ws net ~emit:(fun _ _ -> ());
+  (* From an empty workspace the sync scans every slot anyway. *)
+  sync_with_rebuild ws net ~pushed:(fun _ ~since:_ _ -> false) ~emit:(fun _ _ -> ());
   delta_assignments ws
 
 (* --- the best-effort backtracking walk --- *)

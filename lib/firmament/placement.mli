@@ -17,7 +17,10 @@
     decomposition, and {!extract_delta} re-walks only tasks whose stored
     path crosses an arc whose flow or identity changed since the last
     sync (per-arc generation stamps, {!Flowgraph.Graph.arc_generation}).
-    A full {!extract} is the same machinery run from an empty workspace.
+    It finds those arcs in the graph's dirty journal and the repair's
+    push log when they cover everything since the last sync, and by a
+    scan of every arc slot otherwise. A full {!extract} is the same
+    machinery run from an empty workspace.
     All hot-path state lives in preallocated int arrays (epoch-stamped
     marks, an {!Int_table} for task slots) — steady-state syncs allocate
     only the returned change list. *)
@@ -49,16 +52,26 @@ val create_workspace : ?node_hint:int -> ?arc_hint:int -> unit -> workspace
     deeper than the policy DAG allows). *)
 val extract : ?workspace:workspace -> Flow_network.t -> assignment list
 
-(** [extract_delta ws net] incrementally syncs [ws] to [net]'s current
-    flow and returns the tasks whose stored path was rebuilt, with their
-    new assignment — a superset of the tasks whose assignment actually
-    changed (attribution churn between tasks sharing aggregators can
-    re-route a task onto the machine it already occupied; callers must
-    treat the list as idempotent updates, not edges). Tasks that left
-    the network are dropped silently. On the first call (or after a
+(** [extract_delta ~pushed ws net] incrementally syncs [ws] to [net]'s
+    current flow and returns the tasks whose stored path was rebuilt,
+    with their new assignment — a superset of the tasks whose assignment
+    actually changed (attribution churn between tasks sharing aggregators
+    can re-route a task onto the machine it already occupied; callers
+    must treat the list as idempotent updates, not edges). Tasks that
+    left the network are dropped silently. On the first call (or after a
     failed sync) this is a full rebuild reporting every task.
+
+    Finding the arcs that changed since the last sync costs O(changes)
+    rather than a scan of every arc slot when [net]'s graph is the one
+    synced last, its dirty journal ({!Flowgraph.Graph.iter_journal_since})
+    is intact, and [pushed g ~since f] accounts for every solver push
+    since: it must apply [f] to each arc pushed on since [g]'s push count
+    was [since] and return [true], or return [false] without calling [f]
+    ({!Mcmf.Race.iter_repair_pushes} does this for a repaired round). The workspace consumes the journal:
+    each call clears it.
     @raise Failure as {!extract}. *)
 val extract_delta :
+  pushed:(Flowgraph.Graph.t -> since:int -> (Flowgraph.Graph.arc -> unit) -> bool) ->
   workspace ->
   Flow_network.t ->
   (Cluster.Types.task_id * Cluster.Types.machine_id option) list

@@ -55,16 +55,21 @@ let m_solve_ns =
 (* Split attribution of the solve phase: [win] is the winning solver's
    algorithm runtime (retry attempts included), [wait] is everything else
    the round spent inside the solve phase — capped losers in sequential
-   mode, dispatch copies, join overhead. These are observability
-   sub-phases of [sched_phase_solve_ns], not additional round phases:
-   win + wait ≈ solve, and the round's phase list is unchanged. *)
+   mode, dispatch copies, join overhead. A round the repair path
+   resolves makes no dispatch copy (the repair runs on the canonical
+   graph), so its wait is only the call overhead around the repair.
+   These are observability sub-phases of [sched_phase_solve_ns], not
+   additional round phases: win + wait ≈ solve, and the round's phase
+   list is unchanged. *)
 let m_solve_win_ns =
   Telemetry.Metrics.histogram m ~help:"winning solver's algorithm runtime (ns)"
     "sched_phase_solve_win_ns"
 
 let m_solve_wait_ns =
   Telemetry.Metrics.histogram m
-    ~help:"solve-phase time beyond the winner: losers, copies, join (ns)"
+    ~help:
+      "solve-phase time beyond the winner: losers, dispatch copies (none on \
+       repaired rounds), join (ns)"
     "sched_phase_solve_wait_ns"
 
 let m_adopt_ns =
@@ -116,6 +121,13 @@ let m_rounds_overlapped =
   Telemetry.Metrics.counter m
     ~help:"rounds that absorbed cluster events while the solve was in flight"
     "sched_rounds_overlapped_total"
+
+let m_interleave_copies =
+  Telemetry.Metrics.counter m
+    ~help:
+      "repaired-in-place rounds whose first mid-solve event copied the solution \
+       off the canonical graph"
+    "sched_interleave_copies_total"
 
 let m_stale_task_discards =
   Telemetry.Metrics.counter m
@@ -328,11 +340,20 @@ let policy_name t = t.policy.Policy.name
 
 (* Cluster events are legal while a round is in flight: the solvers work
    on copies taken at begin, so mutating the canonical graph here is
-   safe. Each event that changes the task/machine node population is
-   logged on the pending round, so the commit can still read the solver's
-   snapshot with begin-time node identities. *)
+   safe. A round the repair resolved in place is the exception — its
+   solution is the canonical graph — so the first event moves it onto a
+   pooled copy and undoes it on the canonical graph ([unshare]), after
+   which the commit reads that copy as it would a solver's. Each event
+   that changes the task/machine node population is logged on the
+   pending round, so the commit can still read the solver's snapshot
+   with begin-time node identities. *)
+let unshare t =
+  match t.pending with
+  | Some p -> if Mcmf.Race.unshare p.p_handle then Telemetry.Metrics.incr m m_interleave_copies
+  | None -> ()
 
 let submit_job t job =
+  unshare t;
   Cluster.State.submit_job t.cluster job;
   (match t.pending with
   | Some p ->
@@ -344,6 +365,7 @@ let submit_job t job =
   Array.iter (fun task -> t.policy.Policy.task_submitted task) job.Cluster.Workload.tasks
 
 let finish_task t tid ~now =
+  unshare t;
   (match t.pending with
   | Some p when not (List.mem tid p.p_mid_added) -> (
       match FN.task_node t.net tid with
@@ -359,6 +381,7 @@ let finish_task t tid ~now =
   Hashtbl.remove t.assigned tid
 
 let fail_machine t m =
+  unshare t;
   (match t.pending with
   | Some p -> (
       match FN.machine_node t.net m with
@@ -374,6 +397,7 @@ let fail_machine t m =
     victims
 
 let restore_machine t m =
+  unshare t;
   Cluster.State.restore_machine t.cluster m;
   t.policy.Policy.machine_restored m
 
@@ -382,6 +406,7 @@ let restore_machine t m =
    solve in flight cannot re-commit a placement for it; the task node
    itself stays live, which is exactly what the snapshot reader expects. *)
 let preempt_task t tid =
+  unshare t;
   Cluster.State.preempt t.cluster tid;
   Hashtbl.remove t.assigned tid;
   t.policy.Policy.task_preempted (Cluster.State.task t.cluster tid)
@@ -723,13 +748,16 @@ let commit_round t p ~now =
         { base with degraded = `Failed; unscheduled }
   | Mcmf.Solver_intf.Optimal when not interleaved ->
       let replaced = FN.graph t.net in
-      FN.set_graph t.net result.Mcmf.Race.graph;
-      (* Swap-on-optimal: the displaced canonical graph becomes the next
-         round's scratch copy instead of garbage. *)
-      Mcmf.Race.recycle t.race replaced;
-      (* The adopted graph carries its own cumulative summary; re-sync the
-         delta baseline so the next round doesn't misattribute. *)
-      t.last_changes <- Flowgraph.Graph.peek_changes (FN.graph t.net);
+      (* A repair solved the canonical graph in place: already adopted. *)
+      if result.Mcmf.Race.graph != replaced then begin
+        FN.set_graph t.net result.Mcmf.Race.graph;
+        (* Swap-on-optimal: the displaced canonical graph becomes the next
+           round's scratch copy instead of garbage. *)
+        Mcmf.Race.recycle t.race replaced;
+        (* The adopted graph carries its own cumulative summary; re-sync
+           the delta baseline so the next round doesn't misattribute. *)
+        t.last_changes <- Flowgraph.Graph.peek_changes (FN.graph t.net)
+      end;
       (* Snapshot the certified-optimal solution for the observer before
          the placement diff reroutes started tasks' arcs. Copy only on
          demand: the hook is a debug facility, off in production. *)
@@ -748,7 +776,9 @@ let commit_round t p ~now =
          flow may not move again, so the decomposition's stored
          assignment is re-stated until the cluster accepts or the solver
          re-routes them. *)
-      let changes = Placement.extract_delta t.ws t.net in
+      let changes =
+        Placement.extract_delta ~pushed:(Mcmf.Race.iter_repair_pushes t.race) t.ws t.net
+      in
       let changes =
         if Hashtbl.length t.retry = 0 then changes
         else
@@ -843,7 +873,7 @@ let commit_round t p ~now =
             in
             let ext_end = Telemetry.Clock.now_ns () in
             let committed = commit_diff ?fin_prev t ~now placements in
-            Mcmf.Race.recycle t.race g;
+            if g != FN.graph t.net then Mcmf.Race.recycle t.race g;
             (committed, ext_end)
       in
       List.iter (fun (tid, _) -> Hashtbl.replace t.retry tid ()) discarded;

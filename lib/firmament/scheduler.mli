@@ -28,8 +28,9 @@
        the network is repaired) recovers from a coherent warm start.}}
 
     Invariant: the flow network owned by this scheduler is never left
-    mid-solve between rounds — {!Mcmf.Race.solve} works on copies, and a
-    degraded round keeps the pre-round graph.
+    mid-solve between rounds — the full solvers work on copies, the
+    incremental repair either completes on the canonical graph or undoes
+    itself, and a degraded round keeps the pre-round graph.
 
     {2 Pipelined rounds}
 
@@ -37,8 +38,12 @@
     refreshes the policy, stamps the round epoch and dispatches the solve
     on a snapshot; {!commit_round} awaits the result and applies it.
     Between the two, cluster events ({!submit_job}, {!finish_task},
-    {!fail_machine}, {!restore_machine}) may mutate the canonical graph —
-    the solver works on its own copies. At commit, placements involving a
+    {!fail_machine}, {!restore_machine}, {!preempt_task}) may mutate the
+    canonical graph — the solver works on its own copies. A round the
+    repair resolved in place has its solution in the canonical graph, so
+    the first such event copies it off (copy-on-first-event, counted in
+    [sched_interleave_copies_total]) and undoes it there; synchronous
+    rounds never copy. At commit, placements involving a
     task or machine invalidated mid-solve are {e discarded} rather than
     applied (reported in [round.discarded] with a {!discard_reason}), and
     every remaining placement is re-checked against the authoritative

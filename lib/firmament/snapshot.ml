@@ -107,10 +107,13 @@ let parse_task ~prefix toks =
    fact as the cluster's running set.
 
    Taking a base image while a pipelined round is in flight is safe by
-   construction: solvers work on copies, so {!Scheduler.network}'s graph
-   is always the pre-round canonical warm start, never the racing copy —
-   and the in-flight round has committed nothing, so losing it loses no
-   placements. *)
+   construction: the in-flight round has committed nothing, so losing it
+   loses no placements. Full solvers work on copies, so
+   {!Scheduler.network}'s graph is then the pre-round canonical warm
+   start; a round the repair resolved in place has already written its
+   optimum there, and the image keeps that flow as its warm start. Who
+   runs where comes from the cluster facts, never from the flow, so
+   either way the restored scheduler places exactly the waiting work. *)
 let emit_base sched ~now =
   let buf = Buffer.create 65536 in
   let cluster = Scheduler.cluster sched in

@@ -13,11 +13,12 @@
        side-band [node] records mapping the dump's dense node ids back to
        their scheduler roles;}}
     and deliberately {e not} the task → machine assignment table (the
-    cluster's running set is the same fact) or any in-flight round
-    (solvers work on copies, so the canonical graph is always the
-    pre-round warm start; an uncommitted round has placed nothing, so
-    dropping it loses nothing — which is why snapshotting {e mid-round}
-    is safe).
+    cluster's running set is the same fact) or any in-flight round (an
+    uncommitted round has placed nothing, so dropping it loses nothing —
+    which is why snapshotting {e mid-round} is safe; the graph is the
+    pre-round warm start, or, when the repair resolved the round in
+    place, that round's optimum, which restore only uses as a warm
+    start).
 
     Restore replays the base image through the normal constructors,
     parses the graph dump, rebuilds the network id maps from the [node]

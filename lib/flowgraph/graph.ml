@@ -35,6 +35,14 @@ type t = {
   arc_gen : int Vec.t;
   free_pairs : int Vec.t; (* even base index of each free pair *)
   mutable live_arcs : int; (* forward arcs only *)
+  (* Dirty journal: even base ids of pairs whose flow, capacity or
+     identity changed through an editing mutator, until it holds more
+     than [journal_limit] entries ([journal_full]). [pushes] counts the
+     flow changes the journal does not record (solver pushes, undos). *)
+  journal : int Vec.t;
+  mutable journal_full : bool;
+  mutable journal_base : int; (* position of [journal]'s first entry *)
+  mutable pushes : int;
   (* change tracking *)
   mutable ch_structural : int;
   mutable ch_cost : int;
@@ -84,6 +92,10 @@ let create ?(node_hint = 16) ?(arc_hint = 64) () =
     arc_gen = Vec.create ~capacity:r ~dummy:0 ();
     free_pairs = Vec.create ~dummy:(-1) ();
     live_arcs = 0;
+    journal = Vec.create ~dummy:(-1) ();
+    journal_full = false;
+    journal_base = 0;
+    pushes = 0;
     ch_structural = 0;
     ch_cost = 0;
     ch_capacity = 0;
@@ -100,6 +112,14 @@ let arc_is_live g a = a >= 0 && a < arc_bound g && Vec.get g.arc_live a
 
 let check_node g n ctx = if not (node_is_live g n) then invalid_arg ("Graph: dead node in " ^ ctx)
 let check_arc g a ctx = if not (arc_is_live g a) then invalid_arg ("Graph: dead arc in " ^ ctx)
+
+(* Past this many entries a full arc scan is as cheap as the journal. *)
+let journal_limit g = 64 + (Vec.length g.head / 4)
+
+let journal_note g a =
+  if not g.journal_full then
+    if Vec.length g.journal >= journal_limit g then g.journal_full <- true
+    else ignore (Vec.push g.journal (a land lnot 1))
 
 let note_cost_change g c =
   g.ch_cost <- g.ch_cost + 1;
@@ -275,6 +295,7 @@ let add_arc g ~src:s ~dst:d ~cost:c ~cap =
   link_out g ~from:d (a + 1);
   sync_active g a;
   sync_active g (a + 1);
+  journal_note g a;
   a
 
 let remove_arc g a0 =
@@ -297,6 +318,7 @@ let remove_arc g a0 =
   Vec.set g.arc_live (a + 1) false;
   g.live_arcs <- g.live_arcs - 1;
   g.ch_structural <- g.ch_structural + 1;
+  journal_note g a;
   ignore (Vec.push g.free_pairs a)
 
 let remove_node g n =
@@ -345,10 +367,11 @@ let set_capacity g a u =
     Vec.set g.excess s (Vec.get g.excess s + over);
     Vec.set g.excess d (Vec.get g.excess d - over)
   end;
+  journal_note g a;
   sync_active g a;
   sync_active g (rev a)
 
-let push g a d =
+let[@inline] move_flow g a d =
   if d < 0 then invalid_arg "Graph.push: negative amount";
   (* This checked read also validates [a]; everything below may go
      unchecked (rev a lives in the same pair, heads are live nodes). *)
@@ -362,6 +385,38 @@ let push g a d =
     if uget g.rescap a = 0 then deactivate g ~from:s a;
     activate g ~from:t (rev a)
   end
+
+let push g a d =
+  move_flow g a d;
+  g.pushes <- g.pushes + 1
+
+let push_journaled g a d =
+  move_flow g a d;
+  journal_note g a
+
+let prev_active g a = uget g.prev_active a
+
+(* Exact inverse of [push g a d] made when [a]'s active predecessor was
+   [prev], provided every later change to the two active lists has been
+   undone already: [rev a], if the push activated it, sits at its list
+   head again, and [a], if the push deactivated it, goes back between
+   [prev] and [prev]'s current successor. *)
+let undo_push g a d ~prev =
+  let s = src g a and t = dst g a in
+  uset g.rescap a (uget g.rescap a + d);
+  uset g.rescap (rev a) (uget g.rescap (rev a) - d);
+  uset g.excess s (uget g.excess s + d);
+  uset g.excess t (uget g.excess t - d);
+  if uget g.rescap (rev a) = 0 then deactivate g ~from:t (rev a);
+  if not (uget g.active_flag a) then begin
+    uset g.active_flag a true;
+    let nxt = if prev < 0 then uget g.first_active s else uget g.next_active prev in
+    uset g.next_active a nxt;
+    uset g.prev_active a prev;
+    if nxt >= 0 then uset g.prev_active nxt a;
+    if prev < 0 then uset g.first_active s a else uset g.next_active prev a
+  end;
+  g.pushes <- g.pushes + 1
 
 let iter_out g n f =
   let rec go a =
@@ -415,7 +470,8 @@ let reset_flow g =
       sync_active g (rev a));
   iter_nodes g (fun n ->
       Vec.set g.excess n (Vec.get g.supply n);
-      Vec.set g.potential n 0)
+      Vec.set g.potential n 0);
+  g.journal_full <- true
 
 let copy g =
   {
@@ -439,6 +495,10 @@ let copy g =
     arc_gen = Vec.copy g.arc_gen;
     free_pairs = Vec.copy g.free_pairs;
     live_arcs = g.live_arcs;
+    journal = Vec.create ~dummy:(-1) ();
+    journal_full = true;
+    journal_base = 0;
+    pushes = 0;
     ch_structural = g.ch_structural;
     ch_cost = g.ch_cost;
     ch_capacity = g.ch_capacity;
@@ -468,6 +528,7 @@ let copy_into dst src =
     Vec.copy_into dst.arc_gen src.arc_gen;
     Vec.copy_into dst.free_pairs src.free_pairs;
     dst.live_arcs <- src.live_arcs;
+    dst.journal_full <- true;
     dst.ch_structural <- src.ch_structural;
     dst.ch_cost <- src.ch_cost;
     dst.ch_capacity <- src.ch_capacity;
@@ -492,3 +553,22 @@ let take_changes g =
   g.ch_supply <- 0;
   g.ch_max_cost <- 0;
   s
+
+let push_count g = g.pushes
+let journal_position g = g.journal_base + Vec.length g.journal
+
+let iter_journal_since g pos f =
+  if g.journal_full || pos < g.journal_base then false
+  else begin
+    for i = pos - g.journal_base to Vec.length g.journal - 1 do
+      f (uget g.journal i)
+    done;
+    true
+  end
+
+(* The base jumps one past the old end, so no position taken before the
+   clear (overflowed or not) reads as valid after it. *)
+let clear_journal g =
+  g.journal_base <- journal_position g + 1;
+  Vec.clear g.journal;
+  g.journal_full <- false

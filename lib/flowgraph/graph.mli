@@ -131,9 +131,27 @@ val set_cost : t -> arc -> int -> unit
 val set_capacity : t -> arc -> int -> unit
 
 (** [push g a d] sends [d >= 0] units along residual arc [a], updating both
-    residual capacities and the endpoint excesses.
+    residual capacities and the endpoint excesses. The solver push: it is
+    counted by {!push_count}, not journaled.
     @raise Invalid_argument if [d] exceeds the residual capacity. *)
 val push : t -> arc -> int -> unit
+
+(** [push_journaled g a d] is {!push} for graph editors (task drains and
+    reroutes): the pair is recorded in the dirty journal like a
+    structural change, and {!push_count} does not move. *)
+val push_journaled : t -> arc -> int -> unit
+
+(** [prev_active g a] is the predecessor of active arc [a] in its tail's
+    active list ([-1] at the head) — what {!undo_push} needs to put [a]
+    back where it was. *)
+val prev_active : t -> arc -> arc
+
+(** [undo_push g a d ~prev] exactly inverts [push g a d], where [prev]
+    was [prev_active g a] just before that push: flows, excesses and both
+    active lists (membership {e and} order) come back, provided every
+    later push has been undone first (undo in LIFO order). Counted by
+    {!push_count}. *)
+val undo_push : t -> arc -> int -> prev:arc -> unit
 
 (** [iter_out g n f] applies [f] to every residual out-arc of [n] (both
     forward arcs leaving [n] and reverses of arcs entering it), regardless
@@ -177,7 +195,7 @@ val total_cost : t -> int
 val max_arc_cost : t -> int
 
 (** [reset_flow g] zeroes all flow and potentials and restores every
-    excess to its supply. *)
+    excess to its supply. Overflows the dirty journal. *)
 val reset_flow : t -> unit
 
 (** [copy g] is a deep copy, safe to mutate from another domain. *)
@@ -190,7 +208,8 @@ val copy : t -> t
     capacity suffices (pure blits, zero allocation in steady state; a
     previously-larger [dst] shrinks correctly). This is the scratch-graph
     primitive behind {!Mcmf.Race}'s allocation-free rounds. No-op when
-    [dst == src]. *)
+    [dst == src]. The dirty journal is not copied: [dst]'s (like a
+    {!copy}'s) reads as overflowed. *)
 val copy_into : t -> t -> unit
 
 (** {1 Change tracking}
@@ -216,3 +235,36 @@ val take_changes : t -> change_summary
 
 (** [peek_changes g] returns the summary without resetting. *)
 val peek_changes : t -> change_summary
+
+(** {1 Dirty journal}
+
+    What lets a reader that synced with [g] once (delta placement
+    extraction) find the arcs whose flow, capacity or identity changed
+    since, without scanning every arc slot. {!add_arc}, {!remove_arc}
+    (and so {!remove_node}), {!set_capacity} and {!push_journaled} record
+    the even base id of the pair they touched — duplicates included — up
+    to a bound of about a quarter of the arc slots, past which the
+    journal {e overflows} and stops recording. {!reset_flow}, {!copy} and
+    {!copy_into}'s destination overflow it too. Solver pushes are not
+    recorded, only counted by {!push_count}; a reader must account for
+    them by other means (an incremental repair's undo log) or fall back
+    to a full scan. *)
+
+(** [push_count g] is the number of {!push}es and {!undo_push}es made on
+    [g] since it was created. *)
+val push_count : t -> int
+
+(** [journal_position g] marks the journal's current end; a reader keeps
+    it to ask later for what was recorded since. *)
+val journal_position : t -> int
+
+(** [iter_journal_since g pos f] applies [f] to every pair base id
+    recorded since position [pos] and returns [true] — unless the journal
+    overflowed or was cleared since, when it returns [false] without
+    calling [f]. *)
+val iter_journal_since : t -> int -> (arc -> unit) -> bool
+
+(** [clear_journal g] empties the journal and clears its overflow; every
+    position taken before reads as lost. Meant for the journal's one
+    consuming reader, so that the journal does not fill up. *)
+val clear_journal : t -> unit

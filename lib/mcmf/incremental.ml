@@ -25,10 +25,13 @@ module G = Flowgraph.Graph
       solvers' O(n) relabel;
    4. certify: zero excess everywhere and {!Price_refine.certified} at
       the caller's scale. Any failure returns the reason and the caller
-      falls back to the untouched full race.
+      falls back to the full race.
 
-   The kernel mutates [g] (flows and potentials) — callers hand it a
-   scratch copy so a give-up can discard the partial repair. *)
+   The kernel works on [g] itself — the canonical graph, not a copy.
+   Every push and potential write goes into an undo log first, so a
+   give-up replays the log backwards and hands the fallback the graph
+   exactly as it came in; the same log names the arcs a successful
+   repair moved, for delta placement extraction. *)
 
 type reason = Oversized | No_path | Not_certified | Stopped_mid_repair
 
@@ -43,7 +46,14 @@ type outcome = Repaired of Solver_intf.stats | Gave_up of reason
 (* Persistent scratch: Ssp's Dijkstra arrays plus a [touched] stack of the
    nodes settled this augmentation (the only ones whose potentials move)
    and a [sources] stack of the round's excess nodes (collected once —
-   augmentations only shrink excesses, never mint new ones). *)
+   augmentations only shrink excesses, never mint new ones).
+
+   The undo log holds triples: a push as [(a, d, prev)] with [prev] the
+   arc's active predecessor before it (see {!G.undo_push}), a potential
+   write as [(-1 - v, old, 0)]. It describes the last repair, on
+   [log_graph], which moved that graph's {!G.push_count} from
+   [log_start] to [log_end]; [log_live] says the changes are still in
+   the graph (the repair succeeded and was not undone since). *)
 type workspace = {
   mutable nbound : int;
   mutable dist : int array;
@@ -54,6 +64,12 @@ type workspace = {
   mutable touched : int array;
   mutable sources : int array;
   heap : Heap.t;
+  mutable log : int array;
+  mutable log_len : int;
+  mutable log_graph : G.t option;
+  mutable log_start : int;
+  mutable log_end : int;
+  mutable log_live : bool;
 }
 
 let create_workspace () =
@@ -67,7 +83,74 @@ let create_workspace () =
     touched = [||];
     sources = [||];
     heap = Heap.create ~capacity:16;
+    log = Array.make 192 0;
+    log_len = 0;
+    log_graph = None;
+    log_start = 0;
+    log_end = 0;
+    log_live = false;
   }
+
+let log3 ws x y z =
+  let i = ws.log_len in
+  if i + 3 > Array.length ws.log then begin
+    let a = Array.make (2 * Array.length ws.log) 0 in
+    Array.blit ws.log 0 a 0 i;
+    ws.log <- a
+  end;
+  let log = ws.log in
+  Array.unsafe_set log i x;
+  Array.unsafe_set log (i + 1) y;
+  Array.unsafe_set log (i + 2) z;
+  ws.log_len <- i + 3
+
+(* The kernel's only two writes to the graph. A push is logged once it
+   happened, so a rollback never undoes one that raised. *)
+let push ws g a d =
+  if d > 0 then begin
+    let prev = G.prev_active g a in
+    G.push g a d;
+    log3 ws a d prev
+  end
+
+let set_potential ws g v p =
+  log3 ws (-1 - v) (G.potential g v) 0;
+  G.set_potential g v p
+
+let rollback ws g =
+  let log = ws.log in
+  let i = ref (ws.log_len - 3) in
+  while !i >= 0 do
+    let x = log.(!i) in
+    if x >= 0 then G.undo_push g x log.(!i + 1) ~prev:log.(!i + 2)
+    else G.set_potential g (-1 - x) log.(!i + 1);
+    i := !i - 3
+  done;
+  ws.log_len <- 0;
+  ws.log_live <- false
+
+let holds_repair ws g =
+  ws.log_live
+  && (match ws.log_graph with Some lg -> lg == g | None -> false)
+  && G.push_count g = ws.log_end
+
+let undo ws g =
+  if not (holds_repair ws g) then
+    invalid_arg "Incremental.undo: the graph does not hold the last repair";
+  rollback ws g
+
+let iter_pushes ws g ~since f =
+  if holds_repair ws g && ws.log_start = since then begin
+    let log = ws.log in
+    let i = ref 0 in
+    while !i < ws.log_len do
+      let x = log.(!i) in
+      if x >= 0 then f x;
+      i := !i + 3
+    done;
+    true
+  end
+  else false
 
 let reserve ws bound =
   if bound > ws.nbound then begin
@@ -137,21 +220,21 @@ let giveup_counter = function
    Establish-optimality at the cost-scaling scale: potentials carried
    over from the previous round live in scaled units, so feasibility
    must be judged there too. Returns the number of arcs saturated. *)
-let saturate ~scale g =
+let saturate ~scale ws g =
   let n = ref 0 in
   G.iter_arcs g (fun a0 ->
       let u = G.src g a0 and v = G.dst g a0 in
       let rc = (G.cost g a0 * scale) - G.potential g u + G.potential g v in
       if rc < 0 then begin
         if G.rescap g a0 > 0 then begin
-          G.push g a0 (G.rescap g a0);
+          push ws g a0 (G.rescap g a0);
           incr n
         end
       end
       else if rc > 0 then begin
         let a1 = G.rev a0 in
         if G.rescap g a1 > 0 then begin
-          G.push g a1 (G.rescap g a1);
+          push ws g a1 (G.rescap g a1);
           incr n
         end
       end);
@@ -167,8 +250,12 @@ let repair ?(stop = Solver_intf.never_stop) ~scale ~budget ?workspace g =
   let iterations = ref 0 in
   let pushes = ref 0 in
   let relabels = ref 0 in
+  ws.log_len <- 0;
+  ws.log_live <- false;
+  ws.log_graph <- Some g;
+  ws.log_start <- G.push_count g;
   try
-    ignore (saturate ~scale g);
+    ignore (saturate ~scale ws g);
     (* One excess sweep: augmentations only move flow from an excess to a
        deficit, so no node turns into a source later — the list is
        complete for the whole repair. *)
@@ -256,7 +343,7 @@ let repair ?(stop = Solver_intf.never_stop) ~scale ~budget ?workspace g =
         relabels := !relabels + !tlen;
         for i = 0 to !tlen - 1 do
           let v = touched.(i) in
-          G.set_potential g v (G.potential g v + (dt - dist.(v)))
+          set_potential ws g v (G.potential g v + (dt - dist.(v)))
         done;
         let rec root v = if parent.(v) < 0 then v else root (G.src g parent.(v)) in
         let s = root t in
@@ -265,14 +352,14 @@ let repair ?(stop = Solver_intf.never_stop) ~scale ~budget ?workspace g =
           else bottleneck (G.src g parent.(v)) (min acc (G.rescap g parent.(v)))
         in
         let amount = min (G.excess g s) (min (- G.excess g t) (bottleneck t max_int)) in
-        let rec push v =
+        let rec augment v =
           if parent.(v) >= 0 then begin
-            G.push g parent.(v) amount;
+            push ws g parent.(v) amount;
             incr pushes;
-            push (G.src g parent.(v))
+            augment (G.src g parent.(v))
           end
         in
-        push t
+        augment t
       end
     done;
     (* Certify before claiming optimality: every excess must be gone
@@ -283,6 +370,8 @@ let repair ?(stop = Solver_intf.never_stop) ~scale ~budget ?workspace g =
      with Exit -> ());
     if not (!clean && Price_refine.certified ~scale g) then
       raise (Give_up Not_certified);
+    ws.log_end <- G.push_count g;
+    ws.log_live <- true;
     let dt_ns = Telemetry.Clock.now_ns () - t0 in
     Telemetry.Metrics.incr m m_repairs;
     Telemetry.Metrics.observe m m_repair_ns dt_ns;
@@ -292,6 +381,11 @@ let repair ?(stop = Solver_intf.never_stop) ~scale ~budget ?workspace g =
       (Solver_intf.stats ~iterations:!iterations ~pushes:!pushes
          ~relabels:!relabels Solver_intf.Optimal
          (Telemetry.Clock.s_of_ns dt_ns))
-  with Give_up r ->
-    Telemetry.Metrics.incr m (giveup_counter r);
-    Gave_up r
+  with
+  | Give_up r ->
+      rollback ws g;
+      Telemetry.Metrics.incr m (giveup_counter r);
+      Gave_up r
+  | e ->
+      rollback ws g;
+      raise e

@@ -1,14 +1,14 @@
 module G = Flowgraph.Graph
 
-(* Persistent SPFA scratch. [dist] and [relax_count] are zeroed for every
-   live node at the start of each run (O(live), not O(bound)); [in_queue]
-   is epoch-stamped so stale entries from earlier runs never read as
+(* Persistent SPFA scratch. [dist] and [len] are zeroed for every live
+   node at the start of each run (O(live), not O(bound)); [in_queue] is
+   epoch-stamped so stale entries from earlier runs never read as
    queued. *)
 type workspace = {
   mutable nbound : int;
   mutable dist : int array;
   mutable in_queue : int array; (* = epoch <=> queued *)
-  mutable relax_count : int array;
+  mutable len : int array; (* arcs on the path that set [dist] *)
   mutable epoch : int;
   queue : Int_deque.t;
 }
@@ -18,7 +18,7 @@ let create_workspace () =
     nbound = 0;
     dist = [||];
     in_queue = [||];
-    relax_count = [||];
+    len = [||];
     epoch = 0;
     queue = Int_deque.create ();
   }
@@ -32,7 +32,7 @@ let ws_ensure ws bound =
     let n = !n in
     ws.dist <- Array.make n 0;
     ws.in_queue <- Array.make n 0;
-    ws.relax_count <- Array.make n 0;
+    ws.len <- Array.make n 0;
     ws.nbound <- n
   end
 
@@ -75,13 +75,13 @@ let run_spfa ~scale ws g =
   let epoch = ws.epoch in
   let dist = ws.dist in
   let in_queue = ws.in_queue in
-  let relax_count = ws.relax_count in
+  let len = ws.len in
   let queue = ws.queue in
   Int_deque.clear queue;
   let n = G.node_count g in
   G.iter_nodes g (fun v ->
       dist.(v) <- 0;
-      relax_count.(v) <- 0;
+      len.(v) <- 0;
       in_queue.(v) <- epoch;
       Int_deque.push_back queue v);
   let ok = ref true in
@@ -96,9 +96,12 @@ let run_spfa ~scale ws g =
          let d = dist.(u) + (G.cost g a * scale) in
          if d < dist.(v) then begin
            dist.(v) <- d;
-           relax_count.(v) <- relax_count.(v) + 1;
-           if relax_count.(v) > n + 1 then begin
-             (* Negative residual cycle: the flow is not optimal. *)
+           len.(v) <- len.(u) + 1;
+           if len.(v) >= n then begin
+             (* A shortest path of n arcs repeats a node: a negative
+                residual cycle, so the flow is not optimal. (Counting
+                decreases per node instead misfires: FIFO SPFA can lower
+                one node's label more than n + 1 times without one.) *)
              ok := false;
              raise Exit
            end;

@@ -83,8 +83,8 @@ type t = {
      failed refines safe by construction. *)
   mutable pot_graph : G.t option;
   mutable pot_scale : int;
-  (* The copy a successful repair produced, so {!prepare} can skip the
-     refine pass when the scheduler adopts it (its potentials were
+  (* The graph a successful repair left optimal, so {!prepare} can skip
+     the refine pass when the scheduler adopts it (its potentials were
      certified by the repair itself, at [repaired_scale]). *)
   mutable repaired_graph : G.t option;
   mutable repaired_scale : int;
@@ -469,7 +469,9 @@ let solve_incremental_cs ?stop ~scratch t g =
 (* A submitted solve. The working copies were taken from the input at
    submit time, so the caller may mutate the input graph while the solve
    is outstanding. [Done] wraps a solve that ran eagerly during submit
-   (sequential modes); [Running] tracks detached racing domains. *)
+   (sequential modes); [Running] tracks detached racing domains;
+   [In_place] is a repair whose result is the input graph itself until
+   {!unshare} moves it onto a copy. *)
 type inflight = {
   r_owner : t;
   r_copies : G.t list;
@@ -479,7 +481,9 @@ type inflight = {
   mutable r_result : result option;
 }
 
-type handle = Done of result | Running of inflight
+type in_place = { p_owner : t; p_input : G.t; mutable p_result : result }
+
+type handle = Done of result | Running of inflight | In_place of in_place
 
 (* Parallel race, detached: both algorithms run in their own domain on
    their own copy; the first Optimal finisher flips the shared cancel
@@ -539,37 +543,35 @@ let submit_parallel ?(stop = Solver_intf.never_stop) ~scratch t g =
 
 (* Delta path: when the caller vouches the round's change set is small
    ([delta_budget]) and the input graph is the one whose potentials
-   {!prepare} certified, try an O(changes) flow repair on a scratch copy
-   before dispatching any solver. A give-up (oversized delta, unroutable
-   excess, failed certification, stop) recycles the copy and falls
-   through to the configured mode untouched — the fallback ladder below
-   never sees a difference. *)
+   {!prepare} certified, try an O(changes) flow repair on the input graph
+   itself before dispatching any solver. Nothing is copied: a give-up
+   (oversized delta, unroutable excess, failed certification, stop)
+   has already undone every change when it returns, so the configured
+   mode below copies exactly the graph it would have copied without the
+   attempt. *)
 let try_repair ?stop ~scratch ~delta_budget t g =
   if scratch || not t.incremental then None
   else
     match (delta_budget, t.pot_graph) with
     | Some budget, Some pg when pg == g && budget > 0 -> (
-        let c = take t g in
         match
           Incremental.repair ?stop ~scale:t.pot_scale ~budget
-            ~workspace:t.inc_ws c
+            ~workspace:t.inc_ws g
         with
         | Incremental.Repaired stats ->
-            t.repaired_graph <- Some c;
+            t.repaired_graph <- Some g;
             t.repaired_scale <- t.pot_scale;
             Telemetry.Metrics.incr m m_wins_repair;
             Some
               {
-                graph = c;
+                graph = g;
                 partial = None;
                 winner = Repair;
                 stats;
                 relaxation_stats = None;
                 cost_scaling_stats = None;
               }
-        | Incremental.Gave_up _ ->
-            give_back t c;
-            None)
+        | Incremental.Gave_up _ -> None)
     | _ -> None
 
 let submit ?stop ?(scratch = false) ?delta_budget t g =
@@ -582,7 +584,7 @@ let submit ?stop ?(scratch = false) ?delta_budget t g =
      spuriously match a future adoption. *)
   t.repaired_graph <- None;
   match try_repair ?stop ~scratch ~delta_budget t g with
-  | Some r -> Done r
+  | Some r -> In_place { p_owner = t; p_input = g; p_result = r }
   | None -> (
       match t.mode with
       | Relaxation_only -> Done (solve_relaxation_only ?stop ~scratch t g)
@@ -593,11 +595,27 @@ let submit ?stop ?(scratch = false) ?delta_budget t g =
       | Race_parallel -> submit_parallel ?stop ~scratch t g)
 
 let poll = function
-  | Done _ -> true
+  | Done _ | In_place _ -> true
   | Running i -> i.r_result <> None || Atomic.get i.r_done >= i.r_total
+
+(* Copy-on-first-event: the repaired state moves to a pooled copy, which
+   becomes the result's graph, and the repair is undone on the input, so
+   the input is again the graph as submitted — as if the repair had run
+   on a dispatch copy all along. *)
+let unshare = function
+  | In_place ({ p_owner = t; p_input = g; p_result = r } as ip) when r.graph == g ->
+      let c = take t g in
+      Incremental.undo t.inc_ws g;
+      t.repaired_graph <- Some c;
+      ip.p_result <- { r with graph = c };
+      true
+  | Done _ | Running _ | In_place _ -> false
+
+let iter_repair_pushes t g ~since f = Incremental.iter_pushes t.inc_ws g ~since f
 
 let await = function
   | Done r -> r
+  | In_place ip -> ip.p_result
   | Running i -> (
       match i.r_result with
       | Some r -> r

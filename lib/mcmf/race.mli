@@ -14,14 +14,17 @@
 
     {b Memory discipline} (DESIGN.md): the orchestrator owns two scratch
     graphs and the solvers' persistent workspaces, so a steady-state round
-    allocates (almost) nothing. Each {!solve} refreshes scratch copies
+    allocates (almost) nothing. Each full solve refreshes scratch copies
     with {!Flowgraph.Graph.copy_into}; a graph exposed in the result
     ([graph] on Optimal, [partial] on Stopped) leaves its slot and belongs
     to the caller, who should hand a graph it no longer needs back with
     {!recycle} — typically the replaced canonical graph after adopting an
     optimum, or a consumed partial. Never recycling is safe (the next
     round falls back to allocating); recycling keeps rounds
-    allocation-free. *)
+    allocation-free. A round resolved by the incremental repair copies
+    nothing: the repair runs on the input graph, and its [result.graph]
+    {e is} the input — there is nothing to adopt or recycle (see
+    {!submit} and {!unshare}). *)
 
 type mode =
   | Race_parallel  (** two domains, first optimal result wins; the loser is cancelled *)
@@ -127,7 +130,9 @@ val prepare : t -> Flowgraph.Graph.t -> unit
 (** A submitted solve. The working copies are taken from the input graph
     {e at submit time}, so the caller is free to mutate the input (apply
     cluster events, refresh costs) while the solve is outstanding — that
-    is what makes pipelined scheduling rounds sound. *)
+    is what makes pipelined scheduling rounds sound. The one exception is
+    a round resolved in place by the repair path: call {!unshare} before
+    the first such mutation. *)
 type handle
 
 (** [submit ?stop ?scratch t g] dispatches a solve of [g] and returns
@@ -141,11 +146,14 @@ type handle
     [?delta_budget] vouches that the round's change set is small (at most
     that many excess nodes / augmentations): if additionally [g] is the
     graph the last {!prepare} certified, the round is first attempted as
-    an O(changes) {!Incremental.repair} on a scratch copy — on success
-    the handle is ready at once with [winner = Repair]; on any give-up
-    (reasons exported as [mcmf_incremental_giveup_*_total]) the
-    configured mode runs untouched, exactly as if [delta_budget] had not
-    been passed.
+    an O(changes) {!Incremental.repair} {e on [g] itself}. On success
+    the handle is ready at once with [winner = Repair] and
+    [result.graph == g], now holding the certified optimum: the caller
+    adopts it by keeping it, and must neither recycle it nor mutate it
+    before {!unshare} while the round is pending. On any give-up
+    (reasons exported as [mcmf_incremental_giveup_*_total]) the repair
+    has restored [g] exactly and the configured mode runs untouched, as
+    if [delta_budget] had not been passed.
 
     At most one solve may be outstanding per [t] (the scratch pool and
     solver workspaces are single-occupancy).
@@ -162,16 +170,33 @@ val submit :
     will return without blocking. *)
 val poll : handle -> bool
 
+(** [unshare h] is copy-on-first-event for a round resolved in place by
+    the repair path: if [h]'s result graph is still the submitted graph
+    [g], the repaired state is copied into a pooled scratch graph that
+    becomes [result.graph] (the caller's to read and {!recycle}, like a
+    solver's copy), and the repair is undone on [g], which is again
+    exactly the graph as submitted. Returns [true] when it took that
+    copy; [false] (doing nothing) for any other handle or a second call.
+    Call it before mutating [g] while [h] is pending. *)
+val unshare : handle -> bool
+
+(** [iter_repair_pushes t g ~since f] is {!Incremental.iter_pushes} on
+    [t]'s repair workspace: the arcs the last repair pushed on, if they
+    are all the solver pushes [g] has seen since push count [since]. *)
+val iter_repair_pushes :
+  t -> Flowgraph.Graph.t -> since:int -> (Flowgraph.Graph.arc -> unit) -> bool
+
 (** [await h] joins the racing domains (if any), assembles the result and
     returns the scratch copies the result does not expose to the pool.
     Idempotent: further calls return the memoized result. *)
 val await : handle -> result
 
 (** [solve ?stop ?scratch t g] is [await (submit ?stop ?scratch t g)] —
-    the synchronous round. [g] itself is never mutated: every algorithm
-    runs on a structure-preserving copy (same node/arc ids), and
+    the synchronous round. The full solvers never mutate [g]: each runs
+    on a structure-preserving copy (same node/arc ids), and
     [result.graph] is the copy to adopt on success or [g] itself on a
-    degraded outcome. Never raises on infeasibility or cancellation —
+    degraded outcome. Only the repair path writes to [g], and only when
+    it succeeds (then [result.graph == g]). Never raises on infeasibility or cancellation —
     inspect [result.stats.outcome]. When the two-solver modes disagree, an
     [Infeasible] verdict (a sound proof) takes precedence over [Stopped].
 

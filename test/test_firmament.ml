@@ -823,6 +823,12 @@ let test_pipeline_equivalence_across_modes () =
         (G.total_cost (g_of split_sched)))
     all_race_modes
 
+let metric_value name =
+  let m = Telemetry.Metrics.global () in
+  match Telemetry.Metrics.find m name with
+  | Some id -> Telemetry.Metrics.value m id
+  | None -> Alcotest.failf "metric %s not registered" name
+
 let test_pipeline_stale_reconciliation () =
   (* Events absorbed while a solve is in flight invalidate exactly the
      placements they touch — the commit discards those, applies the rest,
@@ -852,12 +858,19 @@ let test_pipeline_stale_reconciliation () =
          pref ~tid:11 ~job:1 ~m:1 ~submit:1.;
          pref ~tid:12 ~job:1 ~m:2 ~submit:1.;
        ]);
+  let copies0 = metric_value "sched_interleave_copies_total" in
   let p = Firmament.Scheduler.begin_round sched ~now:1. in
   (* Mid-solve: task 0 finishes; machine 2 dies, taking task 2 with it.
      The in-flight snapshot still routes 0 -> m0, 2 -> m2, 12 -> m2. *)
   Firmament.Scheduler.finish_task sched 0 ~now:1.;
   Firmament.Scheduler.fail_machine sched 2;
   let r2 = Firmament.Scheduler.commit_round sched p ~now:1. in
+  (* The round was repaired in place, so the first mid-solve event (and
+     only that one) copied its solution off the canonical graph. *)
+  checkb "round 2 won by the repair" true
+    (r2.Firmament.Scheduler.winner = Mcmf.Race.Repair);
+  checki "one copy-on-first-event" (copies0 + 1)
+    (metric_value "sched_interleave_copies_total");
   Alcotest.(check (list (pair int int)))
     "fresh placements commit" [ (10, 0); (11, 1) ] r2.Firmament.Scheduler.started;
   Alcotest.(check (list (pair int discard_reason_t)))
@@ -1200,6 +1213,102 @@ let summarize_assignments asgs =
     List.sort compare (Hashtbl.fold (fun mm n acc -> (mm, n) :: acc) machines []),
     !unsched )
 
+(* Drive [rounds] synchronous rounds of random churn (bursts of up to
+   [max_burst - 1] events) through a Quincy scheduler, comparing after
+   every adopted round the delta decomposition with a full extraction of
+   the certified flow. Returns the first disagreement. *)
+let churn_decomposition_mismatch ~mode ~rng ~rounds ~max_burst =
+  let machines = 5 and slots = 2 in
+  let cluster = mk_cluster ~machines ~slots in
+  let sched =
+    Firmament.Scheduler.create
+      ~config:{ Firmament.Scheduler.default_config with mode }
+      cluster
+      ~policy:(fun ~drain net st -> Firmament.Policy_quincy.make ~drain net st)
+  in
+  let err = ref None in
+  Firmament.Scheduler.set_round_observer sched
+    (Some
+       (fun (r : Firmament.Scheduler.round) _post ~certified ->
+         match certified with
+         | None -> ()
+         | Some cg -> (
+             ignore r;
+             match Firmament.Scheduler.decomposition sched with
+             | None ->
+                 if !err = None then
+                   err := Some "adopted round left the delta workspace unsynced"
+             | Some delta ->
+                 let net = Firmament.Scheduler.network sched in
+                 let live = FN.graph net in
+                 let full =
+                   Fun.protect
+                     ~finally:(fun () -> FN.set_graph net live)
+                     (fun () ->
+                       FN.set_graph net cg;
+                       Firmament.Placement.extract net)
+                 in
+                 if
+                   summarize_assignments delta <> summarize_assignments full
+                   && !err = None
+                 then err := Some "delta and full extraction disagree")));
+  let next_jid = ref 0 in
+  let now = ref 0. in
+  let running () =
+    let acc = ref [] in
+    Cluster.State.iter_tasks cluster (fun t ->
+        if W.is_running t then acc := t.W.tid :: !acc);
+    List.sort compare !acc
+  in
+  let random_event () =
+    match Random.State.int rng 6 with
+    | 0 | 1 ->
+        let jid = !next_jid in
+        incr next_jid;
+        let n = 1 + Random.State.int rng 3 in
+        Firmament.Scheduler.submit_job sched
+          (job_of_tasks ~jid ~submit:!now
+             (List.init n (fun i ->
+                  quincy_task ~tid:((jid * 100) + i) ~job:jid ~submit:!now
+                    ~duration:1000. ~input_mb:90.
+                    ~input_machines:[ Random.State.int rng machines ])))
+    | 2 -> (
+        match running () with
+        | [] -> ()
+        | l ->
+            Firmament.Scheduler.finish_task sched
+              (List.nth l (Random.State.int rng (List.length l)))
+              ~now:!now)
+    | 3 -> (
+        match running () with
+        | [] -> ()
+        | l ->
+            Firmament.Scheduler.preempt_task sched
+              (List.nth l (Random.State.int rng (List.length l))))
+    | 4 ->
+        let m = Random.State.int rng machines in
+        if Cluster.State.machine_is_live cluster m then
+          Firmament.Scheduler.fail_machine sched m
+    | _ ->
+        let m = Random.State.int rng machines in
+        if not (Cluster.State.machine_is_live cluster m) then
+          Firmament.Scheduler.restore_machine sched m
+  in
+  (* Always at least one task so the first round has work. *)
+  Firmament.Scheduler.submit_job sched
+    (job_of_tasks ~jid:9999 ~submit:0.
+       [ quincy_task ~tid:999900 ~job:9999 ~submit:0. ~duration:1000.
+           ~input_mb:90. ~input_machines:[ 0 ] ]);
+  for _round = 1 to rounds do
+    let burst = Random.State.int rng max_burst in
+    for _i = 1 to burst do
+      random_event ()
+    done;
+    ignore (Firmament.Scheduler.schedule sched ~now:!now);
+    now := !now +. 1.
+  done;
+  !err
+
 let prop_delta_extraction_matches_full =
   QCheck.Test.make ~name:"delta extraction = full extraction after churn bursts"
     ~count:30
@@ -1207,98 +1316,29 @@ let prop_delta_extraction_matches_full =
     (fun (seed, mode_idx) ->
       let mode = List.nth all_race_modes mode_idx in
       let rng = Random.State.make [| 0xde17a; seed; mode_idx |] in
-      let machines = 5 and slots = 2 in
-      let cluster = mk_cluster ~machines ~slots in
-      let sched =
-        Firmament.Scheduler.create
-          ~config:{ Firmament.Scheduler.default_config with mode }
-          cluster
-          ~policy:(fun ~drain net st -> Firmament.Policy_quincy.make ~drain net st)
-      in
-      let err = ref None in
-      Firmament.Scheduler.set_round_observer sched
-        (Some
-           (fun (r : Firmament.Scheduler.round) _post ~certified ->
-             match certified with
-             | None -> ()
-             | Some cg -> (
-                 ignore r;
-                 match Firmament.Scheduler.decomposition sched with
-                 | None ->
-                     if !err = None then
-                       err := Some "adopted round left the delta workspace unsynced"
-                 | Some delta ->
-                     let net = Firmament.Scheduler.network sched in
-                     let live = FN.graph net in
-                     let full =
-                       Fun.protect
-                         ~finally:(fun () -> FN.set_graph net live)
-                         (fun () ->
-                           FN.set_graph net cg;
-                           Firmament.Placement.extract net)
-                     in
-                     if
-                       summarize_assignments delta <> summarize_assignments full
-                       && !err = None
-                     then err := Some "delta and full extraction disagree")));
-      let next_jid = ref 0 in
-      let now = ref 0. in
-      let running () =
-        let acc = ref [] in
-        Cluster.State.iter_tasks cluster (fun t ->
-            if W.is_running t then acc := t.W.tid :: !acc);
-        List.sort compare !acc
-      in
-      let random_event () =
-        match Random.State.int rng 6 with
-        | 0 | 1 ->
-            let jid = !next_jid in
-            incr next_jid;
-            let n = 1 + Random.State.int rng 3 in
-            Firmament.Scheduler.submit_job sched
-              (job_of_tasks ~jid ~submit:!now
-                 (List.init n (fun i ->
-                      quincy_task ~tid:((jid * 100) + i) ~job:jid ~submit:!now
-                        ~duration:1000. ~input_mb:90.
-                        ~input_machines:[ Random.State.int rng machines ])))
-        | 2 -> (
-            match running () with
-            | [] -> ()
-            | l ->
-                Firmament.Scheduler.finish_task sched
-                  (List.nth l (Random.State.int rng (List.length l)))
-                  ~now:!now)
-        | 3 -> (
-            match running () with
-            | [] -> ()
-            | l ->
-                Firmament.Scheduler.preempt_task sched
-                  (List.nth l (Random.State.int rng (List.length l))))
-        | 4 ->
-            let m = Random.State.int rng machines in
-            if Cluster.State.machine_is_live cluster m then
-              Firmament.Scheduler.fail_machine sched m
-        | _ ->
-            let m = Random.State.int rng machines in
-            if not (Cluster.State.machine_is_live cluster m) then
-              Firmament.Scheduler.restore_machine sched m
-      in
-      (* Always at least one task so the first round has work. *)
-      Firmament.Scheduler.submit_job sched
-        (job_of_tasks ~jid:9999 ~submit:0.
-           [ quincy_task ~tid:999900 ~job:9999 ~submit:0. ~duration:1000.
-               ~input_mb:90. ~input_machines:[ 0 ] ]);
-      for _round = 0 to 7 do
-        let burst = Random.State.int rng 4 in
-        for _i = 1 to burst do
-          random_event ()
-        done;
-        ignore (Firmament.Scheduler.schedule sched ~now:!now);
-        now := !now +. 1.
-      done;
-      match !err with
+      match churn_decomposition_mismatch ~mode ~rng ~rounds:8 ~max_burst:4 with
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
+
+let prop_dirty_list_sync_matches_full =
+  (* Small bursts keep the rounds under the repair budget, so most are
+     repaired in place and their extraction walks the dirty journal and
+     the repair log instead of every arc slot: that sync must agree with
+     a full extraction just the same, and must actually be taken. *)
+  QCheck.Test.make ~name:"dirty-list sync = full extraction over repaired churn"
+    ~count:30
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Random.State.make [| 0xd1e7; seed |] in
+      let walked0 = metric_value "placement_dirty_list_syncs_total" in
+      match
+        churn_decomposition_mismatch ~mode:Mcmf.Race.Fastest_sequential ~rng ~rounds:10
+          ~max_burst:3
+      with
+      | Some msg -> QCheck.Test.fail_report msg
+      | None ->
+          metric_value "placement_dirty_list_syncs_total" > walked0
+          || QCheck.Test.fail_report "no round took the dirty-list sync")
 
 (* The race orchestrator's solve phase used to blame the losing solver's
    tail on the round ([Fastest_sequential] ran the loser to completion);
@@ -1613,7 +1653,7 @@ let () =
       ( "delta-extraction",
         Alcotest.test_case "solve win/wait sub-phase split" `Quick
           test_solve_win_wait_split
-        :: qcheck [ prop_delta_extraction_matches_full ] );
+        :: qcheck [ prop_delta_extraction_matches_full; prop_dirty_list_sync_matches_full ] );
       ( "snapshot",
         [
           Alcotest.test_case "base image round-trips full state" `Quick

@@ -928,6 +928,138 @@ let test_repair_no_change_round () =
   | Mcmf.Incremental.Gave_up r ->
       Alcotest.failf "no-change repair gave up: %s" (Mcmf.Incremental.reason_name r)
 
+(* {2 The repair's undo log} *)
+
+(* Everything a give-up must put back: every node's excess, potential and
+   active-arc list (order included — the fallback solver walks it), and
+   every live arc's residual capacity. *)
+let same_flow_state a b =
+  let list_of g n =
+    let rec go acc x = if x < 0 then List.rev acc else go (x :: acc) (G.next_active g x) in
+    go [] (G.first_active g n)
+  in
+  let ok = ref (G.node_bound a = G.node_bound b && G.arc_bound a = G.arc_bound b) in
+  if !ok then begin
+    G.iter_nodes a (fun n ->
+        if
+          G.excess a n <> G.excess b n
+          || G.potential a n <> G.potential b n
+          || list_of a n <> list_of b n
+        then ok := false);
+    for x = 0 to G.arc_bound a - 1 do
+      if G.arc_is_live a x && G.rescap a x <> G.rescap b x then ok := false
+    done
+  end;
+  !ok
+
+(* Cut every arc at a node with demand to capacity 0: that demand can no
+   longer be met, so a repair can only give up. *)
+let isolate_a_deficit g =
+  let target = ref (-1) in
+  G.iter_nodes g (fun v -> if !target < 0 && G.supply g v < 0 then target := v);
+  if !target >= 0 then
+    G.iter_arcs g (fun a ->
+        if G.src g a = !target || G.dst g a = !target then G.set_capacity g a 0);
+  !target >= 0
+
+let prop_repair_giveup_restores_exactly =
+  (* Force each give-up reason after a mutation burst on a certified
+     optimum — [Oversized] with budget 0, [Stopped_mid_repair] after k
+     polls, and a cut no flow can cross — and compare the graph with a
+     copy taken just before the repair: a give-up must leave nothing
+     behind, and a repair that did finish must be optimal. *)
+  QCheck.Test.make ~name:"repair give-up restores the graph exactly" ~count:100
+    QCheck.(triple (int_bound 1_000_000) (int_bound 1_000_000) (int_bound 3))
+    (fun (seed, mseed, polls) ->
+      let g = netgen_instance seed in
+      let s1 = Mcmf.Relaxation.solve g in
+      if s1.S.outcome <> S.Optimal then QCheck.assume_fail ()
+      else begin
+        repair_burst ~mseed g;
+        let attempt ?stop ~budget h =
+          let before = G.copy h in
+          match Mcmf.Incremental.repair ?stop ~scale:1 ~budget h with
+          | Mcmf.Incremental.Gave_up _ -> (true, same_flow_state before h)
+          | Mcmf.Incremental.Repaired _ -> (false, Validate.is_optimal h)
+        in
+        let _, oversized_ok = attempt ~budget:0 (G.copy g) in
+        let n = ref 0 in
+        let stop () = incr n; !n > polls in
+        let _, stopped_ok = attempt ~stop ~budget:max_int (G.copy g) in
+        let cut = G.copy g in
+        let cut_ok =
+          if isolate_a_deficit cut then
+            match attempt ~budget:max_int cut with
+            | true, restored -> restored
+            | false, _ -> QCheck.Test.fail_report "repaired across a cut"
+          else true
+        in
+        oversized_ok && stopped_ok && cut_ok
+      end)
+
+let prop_race_giveup_matches_oracle =
+  (* A [Race.solve ~delta_budget] whose repair gives up (budget 1 against
+     a whole burst) must still land on the SSP oracle's cost, and a
+     round not won by the repair must leave its input untouched. *)
+  QCheck.Test.make ~name:"race after a repair give-up = SSP oracle" ~count:60
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
+      let r1 = Mcmf.Race.solve race (netgen_instance seed) in
+      if r1.Mcmf.Race.stats.S.outcome <> S.Optimal then QCheck.assume_fail ()
+      else begin
+        let g = r1.Mcmf.Race.graph in
+        Mcmf.Race.prepare race g;
+        repair_burst ~mseed:(seed lxor 0x5eed) g;
+        let before = G.copy g in
+        let g_ref = G.copy g in
+        G.reset_flow g_ref;
+        let s_ref = Mcmf.Ssp.solve g_ref in
+        let r2 = Mcmf.Race.solve ~delta_budget:1 race g in
+        match s_ref.S.outcome with
+        | S.Optimal ->
+            r2.Mcmf.Race.stats.S.outcome = S.Optimal
+            && G.total_cost r2.Mcmf.Race.graph = G.total_cost g_ref
+            && Validate.is_optimal r2.Mcmf.Race.graph
+            && (r2.Mcmf.Race.winner = Mcmf.Race.Repair || same_flow_state before g)
+        | S.Infeasible | S.Stopped ->
+            r2.Mcmf.Race.winner <> Mcmf.Race.Repair && same_flow_state before g
+      end)
+
+let test_repair_undo_and_unshare () =
+  (* A successful repair runs on the input itself; [unshare] moves its
+     optimum onto a copy and takes it back out of the input exactly. *)
+  let race = Mcmf.Race.create ~mode:Mcmf.Race.Fastest_sequential () in
+  let r1 = Mcmf.Race.solve race (netgen_instance 11) in
+  Alcotest.check outcome_t "round 1 optimal" S.Optimal r1.Mcmf.Race.stats.S.outcome;
+  let g = r1.Mcmf.Race.graph in
+  Mcmf.Race.prepare race g;
+  mutation_burst ~mseed:3 g;
+  let before = G.copy g in
+  let h = Mcmf.Race.submit ~delta_budget:1_000_000 race g in
+  let r = Mcmf.Race.await h in
+  checkb "won by the repair" true (r.Mcmf.Race.winner = Mcmf.Race.Repair);
+  checkb "repaired in place" true (r.Mcmf.Race.graph == g);
+  let cost = G.total_cost g in
+  checkb "first unshare copies" true (Mcmf.Race.unshare h);
+  checkb "second unshare is a no-op" false (Mcmf.Race.unshare h);
+  let r' = Mcmf.Race.await h in
+  checkb "result moved off the input" true (r'.Mcmf.Race.graph != g);
+  checki "the copy holds the optimum" cost (G.total_cost r'.Mcmf.Race.graph);
+  checkb "the copy is optimal" true (Validate.is_optimal r'.Mcmf.Race.graph);
+  checkb "the input is back to its submitted state" true (same_flow_state before g)
+
+let test_price_refine_long_relabel_chain () =
+  (* Instance 565414 of [random_instance] (5 nodes, optimal after
+     relaxation): FIFO SPFA lowers one node's label 7 times, more than
+     n + 1, with no negative cycle. Counting decreases called that a
+     cycle and refused; path-length detection must not. *)
+  let g = random_instance 565414 in
+  Alcotest.check outcome_t "optimal" S.Optimal (Mcmf.Relaxation.solve g).S.outcome;
+  G.iter_nodes g (fun n -> G.set_potential g n (((n * 7919) mod 23) - 11));
+  checkb "refine succeeds" true (Mcmf.Price_refine.run g);
+  checkb "reduced-cost optimal" true (Validate.is_reduced_cost_optimal g)
+
 let test_race_winner_only_escalation () =
   (* With k=1, period=2, ratio=0 the escalation pattern is deterministic:
      round 1 full race, rounds 2-3 winner-only (the skipped loser reports
@@ -1249,6 +1381,10 @@ let () =
             prop_incremental_relaxation_matches;
             prop_price_refine_restores_slackness;
             prop_price_refine_refuses_nonoptimal;
+          ]
+        @ [
+            Alcotest.test_case "price refine on a long relabel chain" `Quick
+              test_price_refine_long_relabel_chain;
           ] );
       ( "golden",
         [ Alcotest.test_case "netgen-8 instance" `Quick test_golden_dimacs_instance ] );
@@ -1295,6 +1431,8 @@ let () =
         :: Alcotest.test_case "give-up reasons" `Quick test_repair_give_up_reasons
         :: Alcotest.test_case "no-change round" `Quick test_repair_no_change_round
         :: qcheck [ prop_incremental_repair_matches_full; prop_race_repair_path_matches ]
+        @ Alcotest.test_case "undo and unshare" `Quick test_repair_undo_and_unshare
+          :: qcheck [ prop_repair_giveup_restores_exactly; prop_race_giveup_matches_oracle ]
       );
       ( "degradation",
         Alcotest.test_case "infeasible returns untouched input" `Quick
